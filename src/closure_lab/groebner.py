@@ -11,7 +11,8 @@ product and chain criteria for skipping predictably useless S-pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .config import DEFAULT_GENERATOR_CAP, DEFAULT_SPAIR_CAP
@@ -173,20 +174,21 @@ def buchberger(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolyIdeal:
     """An ideal given by an ordered list of nonzero generators.
 
-    Reduced Groebner bases are computed on demand and cached per term order;
-    the cache never changes the ideal, only memoizes a canonical form of it.
+    Instances are immutable and hashable. Reduced Groebner bases come from a
+    bounded module-level cache keyed by the generators, the term order and
+    the S-pair cap, so equal ideals share one basis and a cap is enforced
+    whatever was computed before.
     """
 
     dim: int
     gens: tuple[Polynomial, ...]
-    _gb_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        self.gens = tuple(self.gens)
+        object.__setattr__(self, "gens", tuple(self.gens))
         for index, g in enumerate(self.gens):
             if not isinstance(g, Polynomial):
                 raise PreconditionError(f"generator {index} is not a Polynomial")
@@ -204,11 +206,16 @@ class PolyIdeal:
     def groebner(
         self, order: TermOrder = GREVLEX, spair_cap: int = DEFAULT_SPAIR_CAP
     ) -> GroebnerBasis:
-        cached = self._gb_cache.get(order.name)
-        if cached is None:
-            cached = buchberger(self.gens, order, spair_cap)
-            self._gb_cache[order.name] = cached
-        return cached
+        return _cached_buchberger(self.gens, order, spair_cap)
+
+
+# Reduction search, certificate construction and verification rebuild the
+# same generator tuples as fresh ideals; 16 entries catch those repeats.
+@lru_cache(maxsize=16)
+def _cached_buchberger(
+    gens: tuple[Polynomial, ...], order: TermOrder, spair_cap: int
+) -> GroebnerBasis:
+    return buchberger(gens, order, spair_cap)
 
 
 def unit_poly_ideal(dim: int) -> PolyIdeal:
@@ -223,7 +230,6 @@ def to_poly_ideal(ideal: MonomialIdeal) -> PolyIdeal:
 @dataclass(frozen=True)
 class Membership:
     member: bool
-    gb_quotients: tuple[Polynomial, ...] | None
     generator_quotients: tuple[Polynomial, ...] | None
 
 
@@ -239,17 +245,17 @@ def poly_ideal_member(
     gb = ideal.groebner(order, spair_cap)
     if not gb.basis:
         if f.is_zero:
-            return Membership(True, (), tuple())
-        return Membership(False, None, None)
+            return Membership(True, ())
+        return Membership(False, None)
     remainder, quotients = normal_form(f, gb.basis, order)
     if not remainder.is_zero:
-        return Membership(False, None, None)
+        return Membership(False, None)
     composed = [Polynomial.zero(ideal.dim) for _ in ideal.gens]
     for quotient, row in zip(quotients, gb.cofactors):
         if not quotient.is_zero:
             for k in range(len(ideal.gens)):
                 composed[k] += quotient * row[k]
-    return Membership(True, tuple(quotients), tuple(composed))
+    return Membership(True, tuple(composed))
 
 
 def poly_ideal_equal(

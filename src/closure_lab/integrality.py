@@ -447,7 +447,10 @@ def bareiss_determinant(matrix: list[list[Polynomial]]) -> Polynomial:
 
 
 def cofactor_determinant(matrix: list[list[Polynomial]]) -> Polynomial:
-    """Determinant by first-row expansion; quadratic blowup, small inputs only."""
+    """Determinant by first-row expansion; quadratic blowup, small inputs only.
+
+    Kept as the reference that tests check :func:`bareiss_determinant` against.
+    """
     n = len(matrix)
     dim = matrix[0][0].dim
     if n == 1:
@@ -463,15 +466,6 @@ def cofactor_determinant(matrix: list[list[Polynomial]]) -> Polynomial:
     return total
 
 
-def _determinant(matrix: list[list[Polynomial]]) -> Polynomial:
-    try:
-        return bareiss_determinant(matrix)
-    except PreconditionError:
-        if len(matrix) <= 6:
-            return cofactor_determinant(matrix)
-        raise
-
-
 def cramer_certificate(
     f: Polynomial,
     j_ideal: Ideal,
@@ -480,7 +474,6 @@ def cramer_certificate(
     order: TermOrder = GREVLEX,
     generator_cap: int = DEFAULT_GENERATOR_CAP,
     spair_cap: int = DEFAULT_SPAIR_CAP,
-    det_size_cap: int = DET_SIZE_CAP,
 ) -> IntegralityCertificate:
     """The determinant-trick certificate for f in I, given I^(k+1) = J * I^k.
 
@@ -503,9 +496,9 @@ def cramer_certificate(
 
     basis_ideal = poly_ideal_power(i_poly, k, generator_cap)
     count = len(basis_ideal.gens)
-    if count > det_size_cap:
+    if count > DET_SIZE_CAP:
         raise InstanceTooLargeError(
-            f"certificate needs a {count}x{count} determinant, cap is {det_size_cap}"
+            f"certificate needs a {count}x{count} determinant, cap is {DET_SIZE_CAP}"
         )
     pair_gens = [q * g for q in j_poly.gens for g in basis_ideal.gens]
     lift_ideal = PolyIdeal(dim, tuple(pair_gens))
@@ -548,7 +541,7 @@ def cramer_certificate(
         ]
         for i in range(count)
     ]
-    det = _determinant(char_matrix)
+    det = bareiss_determinant(char_matrix)
 
     by_t_degree: dict[int, dict[ExponentVector, Fraction]] = {}
     for exps, coeff in det.terms.items():

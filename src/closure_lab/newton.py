@@ -10,10 +10,11 @@ a - e_j would still dominate the same convex combination (its j-th
 coordinate still exceeds every vertex's), so a would not be minimal.
 Enumerating the box is then sufficient and is what :func:`closure` does.
 
-Membership queries run the exact LP of :mod:`closure_lab.simplex`; separating
-functionals returned by failed queries are cached per polyhedron so later
-non-members are usually refuted by a handful of exact dot products instead
-of a fresh solve. Query results are deterministic either way.
+Membership queries run the exact LP of :mod:`closure_lab.simplex`. Within
+one closure enumeration, the separating functionals returned by failed
+solves are kept, so later non-members in the same box are usually refuted
+by a handful of exact dot products instead of a fresh solve. Answers are
+deterministic either way, and no value keeps state between calls.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import lcm, prod
 from typing import Iterator, Sequence
 
 from . import simplex
@@ -58,44 +59,26 @@ class RationalCertificate:
         return True
 
 
+@dataclass(frozen=True)
 class NewtonPolyhedron:
     """conv(vertices) + nonnegative orthant, with an exact membership oracle.
 
     Vertices need not be extreme points; dominated vertices never change
-    membership answers. Instances are immutable apart from an internal cache
-    of separating functionals discovered by failed membership queries.
+    membership answers. Vertices are stored sorted; instances are immutable.
     """
 
-    __slots__ = ("dim", "vertices", "_separators")
+    dim: int
+    vertices: tuple[ExponentVector, ...]
 
-    def __init__(self, dim: int, vertices: Sequence[ExponentVector]):
-        vecs = tuple(sorted(as_exponent_vector(v, dim) for v in vertices))
+    def __post_init__(self):
+        vecs = tuple(sorted(as_exponent_vector(v, self.dim) for v in self.vertices))
         if not vecs:
             raise PreconditionError("a Newton polyhedron needs at least one vertex")
-        self.dim = dim
-        self.vertices = vecs
-        # Separating functionals, scaled to integers: (weights, threshold)
-        # with weights . v >= threshold for every vertex v, so any point p
-        # with weights . p < threshold is certainly outside.
-        self._separators: list[tuple[tuple[int, ...], int]] = []
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NewtonPolyhedron):
-            return NotImplemented
-        return self.dim == other.dim and self.vertices == other.vertices
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.vertices))
-
-    def __repr__(self) -> str:
-        return f"NewtonPolyhedron(dim={self.dim}, vertices={self.vertices})"
+        object.__setattr__(self, "vertices", vecs)
 
     def member(self, point: ExponentVector) -> tuple[bool, RationalCertificate | None]:
         """Exact membership of a lattice point, with weights on success."""
         point = as_exponent_vector(point, self.dim)
-        for weights, threshold in self._separators:
-            if sum(w * c for w, c in zip(weights, point)) < threshold:
-                return False, None
         for index, vertex in enumerate(self.vertices):
             if divides(vertex, point):
                 lams = [Fraction(0)] * len(self.vertices)
@@ -104,12 +87,6 @@ class NewtonPolyhedron:
         outcome = simplex.dominating_combination(self.vertices, point)
         if isinstance(outcome, simplex.Feasible):
             return True, RationalCertificate(outcome.lambdas)
-        scale = 1
-        for value in outcome.functional:
-            scale = scale * value.denominator // gcd(scale, value.denominator)
-        scaled = tuple(int(value * scale) for value in outcome.functional)
-        if (scaled, scale) not in self._separators:
-            self._separators.append((scaled, scale))
         return False, None
 
 
@@ -117,11 +94,6 @@ def polyhedron_of(ideal: MonomialIdeal) -> NewtonPolyhedron:
     """The Newton polyhedron of a nonzero monomial ideal."""
     if ideal.is_zero:
         raise PreconditionError("the zero ideal has no Newton polyhedron")
-    return _cached_polyhedron(ideal)
-
-
-@lru_cache(maxsize=2048)
-def _cached_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
     return NewtonPolyhedron(ideal.dim, ideal.gens)
 
 
@@ -152,7 +124,7 @@ def closure(
     """
     if ideal.is_zero:
         return zero_ideal(ideal.dim)
-    polyhedron = polyhedron_of(ideal)
+    vertices = polyhedron_of(ideal).vertices
     bounds = tuple(max(g[j] for g in ideal.gens) for j in range(ideal.dim))
     box_points = prod(b + 1 for b in bounds)
     if box_points > box_point_cap:
@@ -160,13 +132,29 @@ def closure(
             f"closure box has {box_points} lattice points, cap is {box_point_cap}"
         )
     kept: list[ExponentVector] = []
+    # Separating functionals of failed solves, scaled to integers: (weights,
+    # threshold) with weights . v >= threshold for every vertex v, so any
+    # point p with weights . p < threshold is outside the polyhedron.
+    separators: list[tuple[tuple[int, ...], int]] = []
     for degree in range(sum(bounds) + 1):
         for point in _bounded_compositions(degree, bounds):
             if any(divides(g, point) for g in kept):
                 continue
-            is_member, _ = polyhedron.member(point)
-            if is_member:
+            if any(
+                sum(w * c for w, c in zip(weights, point)) < threshold
+                for weights, threshold in separators
+            ):
+                continue
+            if any(divides(v, point) for v in vertices):
                 kept.append(point)
+                continue
+            outcome = simplex.dominating_combination(vertices, point)
+            if isinstance(outcome, simplex.Feasible):
+                kept.append(point)
+            else:
+                functional = outcome.functional
+                scale = lcm(*(value.denominator for value in functional))
+                separators.append((tuple(int(value * scale) for value in functional), scale))
     return MonomialIdeal(ideal.dim, tuple(kept))
 
 

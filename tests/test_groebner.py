@@ -147,3 +147,21 @@ def test_groebner_cache_is_per_order():
     first = ideal.groebner(GREVLEX)
     assert ideal.groebner(GREVLEX) is first
     assert ideal.groebner(LEX) is not first
+
+
+def test_spair_cap_holds_after_a_basis_was_computed_without_it():
+    gens = tuple(P(text, ("x", "y", "z")) for text in ("x^2 - y*z", "y^2 - x*z", "z^2 - x*y"))
+    with pytest.raises(InstanceTooLargeError):
+        PolyIdeal(3, gens).groebner(GREVLEX, spair_cap=1)
+    ideal = PolyIdeal(3, gens)
+    ideal.groebner(GREVLEX)
+    with pytest.raises(InstanceTooLargeError):
+        ideal.groebner(GREVLEX, spair_cap=1)
+
+
+def test_equal_ideals_share_one_basis():
+    a = PolyIdeal(2, (P("x^2 - y"), P("x*y - 1")))
+    b = PolyIdeal(2, (P("x^2 - y"), P("x*y - 1")))
+    assert a is not b
+    assert a.groebner(GREVLEX) is b.groebner(GREVLEX)
+    assert a == b and hash(a) == hash(b)

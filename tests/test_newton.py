@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import lcm
 
@@ -41,7 +43,7 @@ def test_member_infeasible():
     poly = NewtonPolyhedron(2, [(2, 0), (0, 2)])
     member, cert = poly.member((1, 0))
     assert not member and cert is None
-    # the cached separating functional must not corrupt later queries
+    # a failed query must not change the answers to later ones
     assert poly.member((2, 0))[0]
     assert not poly.member((0, 1))[0]
 
@@ -168,3 +170,32 @@ def test_certificates_are_sound(ideal, point):
         assert cert.satisfies(polyhedron.vertices, point)
     else:
         assert cert is None
+
+
+def test_shared_inputs_give_sequential_answers_across_threads():
+    rng = random.Random(5)
+    ideals = [
+        minimalize(3, [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(3)])
+        for _ in range(12)
+    ]
+    ideals = [ideal for ideal in ideals if not ideal.is_zero]
+    polyhedra = [polyhedron_of(ideal) for ideal in ideals]
+    points = [(i, j, k) for i in range(4) for j in range(4) for k in range(4)]
+
+    def answers():
+        closures = [closure(ideal).gens for ideal in ideals]
+        members = [[poly.member(point)[0] for point in points] for poly in polyhedra]
+        return closures, members
+
+    closure.cache_clear()
+    expected = answers()
+    closure.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(answers) for _ in range(4)]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result == expected for result in results)
