@@ -8,13 +8,16 @@ lattice points, and those all live in the box prod_j [0, max_i v_{i,j}]:
 if a lattice point a of the polyhedron had a_j above that maximum, then
 a - e_j would still dominate the same convex combination (its j-th
 coordinate still exceeds every vertex's), so a would not be minimal.
-Enumerating the box is then sufficient and is what :func:`closure` does.
 
-Membership queries run the exact LP of :mod:`closure_lab.simplex`. Within
-one closure enumeration, the separating functionals returned by failed
-solves are kept, so later non-members in the same box are usually refuted
-by a handful of exact dot products instead of a fresh solve. Answers are
-deterministic either way, and no value keeps state between calls.
+:func:`closure` works from the polyhedron's facets, computed once per ideal
+by exact double description in integer arithmetic. The box bounds the
+prefixes (first d - 1 coordinates) it visits; over each prefix the least
+last coordinate inside the polyhedron is a maximum of integer ceilings, and
+every minimal generator is such a fibre minimum.
+
+Point queries (:meth:`NewtonPolyhedron.member`) run the exact LP of
+:mod:`closure_lab.simplex`, which also yields the convex weights that
+certify a member. No value keeps state between calls.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
-from typing import Iterator, Sequence
+from itertools import product
+from math import gcd, prod
+from typing import Sequence
 
 from . import simplex
 from .config import DEFAULT_BOX_POINT_CAP
@@ -97,17 +101,57 @@ def polyhedron_of(ideal: MonomialIdeal) -> NewtonPolyhedron:
     return NewtonPolyhedron(ideal.dim, ideal.gens)
 
 
-def _bounded_compositions(total: int, bounds: tuple[int, ...]) -> Iterator[ExponentVector]:
-    """All vectors with the given coordinate bounds and total degree, in order."""
-    if not bounds:
-        if total == 0:
-            yield ()
-        return
-    head_max = min(total, bounds[0])
-    head_min = max(0, total - sum(bounds[1:]))
-    for head in range(head_min, head_max + 1):
-        for tail in _bounded_compositions(total - head, bounds[1:]):
-            yield (head,) + tail
+def _facets(
+    dim: int, vertices: Sequence[ExponentVector]
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Integer facet inequalities ``w . x >= b`` (with ``w >= 0``) of the polyhedron.
+
+    The pairs are the extreme rays (w, c), c = -b, of the dual cone
+    {(w, c) : w >= 0, w . v + c >= 0 for every vertex v}, found by exact
+    double description: start from the simplicial cone of the coordinate
+    rows and the first vertex row, then cut by one vertex row at a time,
+    joining a ray on the positive side with one on the negative side when
+    no third ray is tight on every row both are tight on. Rays are divided
+    by the gcd of their entries; the ray (0, ..., 0, 1), the trivial
+    inequality 0 >= -1, is dropped.
+    """
+    # Each ray carries the bitmask of the rows it is tight on: bit j for the
+    # row w_j >= 0, bit dim + i for the row of vertex i. Each ray of the
+    # initial cone is tight on all of its d + 1 rows but one.
+    first = vertices[0]
+    everything = (1 << (dim + 1)) - 1
+    rays = [
+        (tuple(int(k == j) for k in range(dim)) + (-first[j],), everything & ~(1 << j))
+        for j in range(dim)
+    ]
+    rays.append(((0,) * dim + (1,), everything & ~(1 << dim)))
+    for index, vertex in enumerate(vertices[1:], start=dim + 1):
+        row = tuple(vertex) + (1,)
+        bit = 1 << index
+        sides = [(sum(a * r for a, r in zip(row, ray)), ray, tight) for ray, tight in rays]
+        positive = [entry for entry in sides if entry[0] > 0]
+        negative = [entry for entry in sides if entry[0] < 0]
+        masks = [tight for _, _, tight in sides]
+        joined = []
+        for p_value, p_ray, p_tight in positive:
+            for n_value, n_ray, n_tight in negative:
+                common = p_tight & n_tight
+                if common.bit_count() < dim - 1:
+                    continue
+                if any(
+                    mask & common == common and mask != p_tight and mask != n_tight
+                    for mask in masks
+                ):
+                    continue
+                ray = tuple(p_value * b - n_value * a for a, b in zip(p_ray, n_ray))
+                divisor = gcd(*ray)
+                joined.append((tuple(c // divisor for c in ray), common | bit))
+        rays = [
+            (ray, tight | bit if value == 0 else tight)
+            for value, ray, tight in sides
+            if value >= 0
+        ] + joined
+    return tuple(sorted((ray[:dim], -ray[dim]) for ray, _ in rays if any(ray[:dim])))
 
 
 @lru_cache(maxsize=1024)
@@ -116,46 +160,46 @@ def closure(
 ) -> MonomialIdeal:
     """The integral closure of a monomial ideal.
 
-    Enumerates the sufficient box in ascending total degree, keeping each
-    lattice point that lies in the Newton polyhedron and is not divisible by
-    a point already kept; the survivors are exactly the minimal generators.
-    The zero ideal is its own closure (the ambient polynomial ring is
-    reduced) and is returned without polyhedral work.
+    Every minimal generator lies in the sufficient box (see the module
+    docstring) and is the least lattice point of the polyhedron over its own
+    prefix (its first d - 1 coordinates): lowering its last coordinate would
+    leave the polyhedron. So for each prefix in the box the least last
+    coordinate is read off the facets, kept when it is inside the box, and
+    the kept points are minimalized. The zero ideal is its own closure (the
+    ambient polynomial ring is reduced) and is returned without polyhedral
+    work.
     """
     if ideal.is_zero:
         return zero_ideal(ideal.dim)
-    vertices = polyhedron_of(ideal).vertices
     bounds = tuple(max(g[j] for g in ideal.gens) for j in range(ideal.dim))
     box_points = prod(b + 1 for b in bounds)
     if box_points > box_point_cap:
         raise InstanceTooLargeError(
             f"closure box has {box_points} lattice points, cap is {box_point_cap}"
         )
-    kept: list[ExponentVector] = []
-    # Separating functionals of failed solves, scaled to integers: (weights,
-    # threshold) with weights . v >= threshold for every vertex v, so any
-    # point p with weights . p < threshold is outside the polyhedron.
-    separators: list[tuple[tuple[int, ...], int]] = []
-    for degree in range(sum(bounds) + 1):
-        for point in _bounded_compositions(degree, bounds):
-            if any(divides(g, point) for g in kept):
-                continue
-            if any(
-                sum(w * c for w, c in zip(weights, point)) < threshold
-                for weights, threshold in separators
-            ):
-                continue
-            if any(divides(v, point) for v in vertices):
-                kept.append(point)
-                continue
-            outcome = simplex.dominating_combination(vertices, point)
-            if isinstance(outcome, simplex.Feasible):
-                kept.append(point)
-            else:
-                functional = outcome.functional
-                scale = lcm(*(value.denominator for value in functional))
-                separators.append((tuple(int(value * scale) for value in functional), scale))
-    return MonomialIdeal(ideal.dim, tuple(kept))
+    lifts = []  # facets that bound the last coordinate from below
+    walls = []  # facets that only constrain the prefix
+    for weights, threshold in _facets(ideal.dim, ideal.gens):
+        if weights[-1]:
+            lifts.append((weights[:-1], threshold, weights[-1]))
+        else:
+            walls.append((weights[:-1], threshold))
+    points = []
+    for prefix in product(*(range(b + 1) for b in bounds[:-1])):
+        if any(
+            sum(w * a for w, a in zip(weights, prefix)) < threshold
+            for weights, threshold in walls
+        ):
+            continue
+        # ceil((threshold - weights . prefix) / last), by floor division
+        least = max(
+            -((sum(w * a for w, a in zip(weights, prefix)) - threshold) // last)
+            for weights, threshold, last in lifts
+        )
+        least = max(least, 0)
+        if least <= bounds[-1]:
+            points.append(prefix + (least,))
+    return MonomialIdeal(ideal.dim, tuple(points))
 
 
 def closure_member(ideal: MonomialIdeal, m: ExponentVector) -> bool:

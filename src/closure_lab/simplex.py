@@ -8,9 +8,8 @@ V^T lambda <= a, lambda >= 0" and solved with a dense tableau simplex over
 
 Feasibility holds iff the maximum reaches 1. On success the scaled optimal
 weights are returned; on failure the dual solution yields a separating
-functional w >= 0 with w . v_i >= 1 for every vertex but w . a < 1, which
-refutes any later query point b with w . b < 1 against the same vertices
-without another solve.
+functional w >= 0 with w . v_i >= 1 for every vertex but w . a < 1, a
+certificate that the point lies outside the polyhedron.
 """
 
 from __future__ import annotations

@@ -1,17 +1,31 @@
 """Shared test utilities: tiny constructors and independent oracles.
 
 The oracles here deliberately re-derive answers from first principles
-(divisibility scans, scaling, cofactor expansion) so library paths are
-checked against something they do not share code with.
+(divisibility scans, box scans with the simplex, scaling, cofactor
+expansion) so library paths are checked against something they do not
+share code with.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
+import closure_lab
+from closure_lab import simplex
 from closure_lab.monomials import MonomialIdeal, ideal_power, minimalize
 from closure_lab.polynomials import Polynomial
+
+
+def package_env() -> dict[str, str]:
+    """The environment with the imported ``closure_lab`` first on the path, so
+    a ``python -m closure_lab`` subprocess runs the code under test."""
+    source = str(Path(closure_lab.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": source + (os.pathsep + path if path else "")}
 
 
 def mono(dim, *gens) -> MonomialIdeal:
@@ -35,6 +49,33 @@ def scaling_closure_member(ideal: MonomialIdeal, m, n_limit: int = 6) -> bool:
         if any(all(g[i] <= target[i] for i in range(len(target))) for g in power.gens):
             return True
     return False
+
+
+def box_scan_closure(ideal: MonomialIdeal) -> MonomialIdeal:
+    """Reference closure of a nonzero monomial ideal: the minimal elements of
+    the box points that the exact simplex places in the Newton polyhedron.
+
+    Points are scanned in ascending total degree, so a point divisible by an
+    accepted one is a non-minimal member and needs no solve. The separating
+    functional w of a failed solve (w . v >= 1 at every vertex) refutes each
+    later point p with w . p < 1 without another solve.
+    """
+    bounds = [max(g[j] for g in ideal.gens) for j in range(ideal.dim)]
+    kept = []
+    separators = []
+    for point in sorted(product(*(range(b + 1) for b in bounds)), key=sum):
+        if any(all(g[i] <= point[i] for i in range(ideal.dim)) for g in kept):
+            continue
+        if any(
+            sum(w * c for w, c in zip(functional, point)) < 1 for functional in separators
+        ):
+            continue
+        outcome = simplex.dominating_combination(ideal.gens, point)
+        if isinstance(outcome, simplex.Feasible):
+            kept.append(point)
+        else:
+            separators.append(outcome.functional)
+    return MonomialIdeal(ideal.dim, tuple(kept))
 
 
 def iterated_product(ideal: MonomialIdeal, n: int) -> MonomialIdeal:

@@ -36,7 +36,7 @@ from closure_lab.newton import closure
 from closure_lab.parsing import parse_polynomial
 from closure_lab.polynomials import Polynomial
 from closure_lab.serialize import canonical_json, ideal_payload
-from helpers import mono, scaling_closure_member
+from helpers import mono, package_env, scaling_closure_member
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -241,8 +241,8 @@ def test_criterion_8_suite_determinism():
         "42",
         "--json",
     ]
-    first = subprocess.run(command, capture_output=True, check=False)
-    second = subprocess.run(command, capture_output=True, check=False)
+    first = subprocess.run(command, capture_output=True, env=package_env(), check=False)
+    second = subprocess.run(command, capture_output=True, env=package_env(), check=False)
     identical = first.stdout == second.stdout and first.returncode == second.returncode
     payload = json.loads(first.stdout)
     report(

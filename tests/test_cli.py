@@ -9,6 +9,7 @@ import pytest
 
 from closure_lab.cli import main
 from closure_lab.serialize import parse_ideal
+from helpers import package_env
 
 
 @pytest.fixture()
@@ -212,8 +213,8 @@ def test_sample_suite_deterministic_bytes():
         "7",
         "--json",
     ]
-    first = subprocess.run(command, capture_output=True, check=True)
-    second = subprocess.run(command, capture_output=True, check=True)
+    first = subprocess.run(command, capture_output=True, env=package_env(), check=True)
+    second = subprocess.run(command, capture_output=True, env=package_env(), check=True)
     assert first.stdout == second.stdout
     payload = json.loads(first.stdout)
     assert payload["trials"] == 3 and payload["seed"] == 7

@@ -22,13 +22,15 @@ from closure_lab.monomials import (
     unit_ideal,
     zero_ideal,
 )
+from closure_lab.lab import random_monomial_ideal
 from closure_lab.newton import (
     NewtonPolyhedron,
+    _facets,
     closure,
     closure_member,
     polyhedron_of,
 )
-from helpers import mono, scaling_closure_member
+from helpers import box_scan_closure, mono, scaling_closure_member
 
 
 def test_member_midpoint():
@@ -89,6 +91,25 @@ def test_closure_of_zero_and_unit():
 def test_closure_box_cap():
     with pytest.raises(InstanceTooLargeError):
         closure(mono(2, (9, 0), (0, 9)), box_point_cap=10)
+
+
+@pytest.mark.parametrize(
+    "dim, gens, expected",
+    [
+        (2, [(2, 0), (0, 2)], {((1, 1), 2), ((1, 0), 0), ((0, 1), 0)}),
+        (1, [(3,)], {((1,), 3)}),
+        (
+            3,
+            [(2, 0, 0), (0, 2, 0), (0, 0, 2)],
+            {((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((1, 1, 1), 2)},
+        ),
+        (3, [(0, 0, 0)], {((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)}),
+    ],
+)
+def test_facets_worked_examples(dim, gens, expected):
+    facets = _facets(dim, mono(dim, *gens).gens)
+    assert len(facets) == len(expected)
+    assert set(facets) == expected
 
 
 def test_closure_member_witness_element():
@@ -170,6 +191,90 @@ def test_certificates_are_sound(ideal, point):
         assert cert.satisfies(polyhedron.vertices, point)
     else:
         assert cert is None
+
+
+ideals_any = st.integers(1, 4).flatmap(
+    lambda dim: st.lists(
+        st.tuples(*[st.integers(0, 6 - dim)] * dim), min_size=1, max_size=4
+    ).map(lambda vs: minimalize(dim, vs))
+)
+
+
+def dot(weights, point):
+    return sum(w * c for w, c in zip(weights, point))
+
+
+def rank(rows):
+    rows = [[Fraction(c) for c in row] for row in rows]
+    found = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(found, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[found], rows[pivot] = rows[pivot], rows[found]
+        for r in range(found + 1, len(rows)):
+            factor = rows[r][col] / rows[found][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[found])]
+        found += 1
+    return found
+
+
+def assert_facets_describe_the_polyhedron(ideal, rng):
+    facets = _facets(ideal.dim, ideal.gens)
+    assert len(set(facets)) == len(facets)
+    for weights, threshold in facets:
+        assert all(w >= 0 for w in weights)
+        assert all(dot(weights, v) >= threshold for v in ideal.gens)
+        assert any(dot(weights, v) == threshold for v in ideal.gens)
+        # a facet, not a lower-dimensional face: the tight vertices and the
+        # recession directions it does not weigh span a hyperplane
+        tight = [tuple(v) + (1,) for v in ideal.gens if dot(weights, v) == threshold]
+        tight += [
+            tuple(int(k == j) for k in range(ideal.dim)) + (0,)
+            for j in range(ideal.dim)
+            if weights[j] == 0
+        ]
+        assert rank(tight) == ideal.dim
+    polyhedron = polyhedron_of(ideal)
+    bounds = [max(g[j] for g in ideal.gens) + 1 for j in range(ideal.dim)]
+    for _ in range(10):
+        point = tuple(rng.randint(0, b) for b in bounds)
+        inside = all(dot(weights, point) >= threshold for weights, threshold in facets)
+        assert inside == polyhedron.member(point)[0]
+
+
+@given(ideals_any, st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_facets_describe_the_polyhedron(ideal, rng):
+    assert_facets_describe_the_polyhedron(ideal, rng)
+
+
+def test_facets_describe_the_polyhedron_on_seeded_sample():
+    # many generators in four variables: degenerate faces that need the
+    # adjacency test of the double description
+    rng = random.Random(3)
+    for _ in range(300):
+        ideal = random_monomial_ideal(rng, 4, max_gens=8, max_exp=6)
+        if rng.random() < 0.3:
+            ideal = ideal_power(ideal, 2)
+        assert_facets_describe_the_polyhedron(ideal, rng)
+
+
+@given(ideals_any, st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_closure_agrees_with_box_scan(ideal, n):
+    power = ideal_power(ideal, n)
+    assert closure(power) == box_scan_closure(power)
+
+
+def test_closure_agrees_with_box_scan_on_seeded_sample():
+    rng = random.Random(20_240)
+    for _ in range(200):
+        ideal = random_monomial_ideal(
+            rng, rng.choice((2, 3)), min_gens=2, max_gens=4, max_exp=5
+        )
+        for power in (ideal, ideal_power(ideal, 2)):
+            assert closure(power) == box_scan_closure(power), power
 
 
 def test_shared_inputs_give_sequential_answers_across_threads():
