@@ -25,7 +25,7 @@ from .errors import (
 from .groebner import PolyIdeal, poly_ideal_member, poly_ideal_sum, to_poly_ideal
 from .monomials import MonomialIdeal, contains_monomial
 from .parsing import parse_polynomial
-from .polynomials import Polynomial, term_order
+from .polynomials import term_order
 from .serialize import ParsedIdeal, canonical_json, load_ideal
 
 EXIT_OK = 0
@@ -163,12 +163,7 @@ def _cmd_member(args, config: Config) -> int:
         member = contains_monomial(parsed.ideal, next(iter(poly.terms)))
         payload["member"] = member
     else:
-        ideal = (
-            to_poly_ideal(parsed.ideal)
-            if isinstance(parsed.ideal, MonomialIdeal)
-            else parsed.ideal
-        )
-        outcome = poly_ideal_member(poly, ideal, order, config.spair_cap)
+        outcome = poly_ideal_member(poly, to_poly_ideal(parsed.ideal), order, config.spair_cap)
         member = outcome.member
         payload["member"] = member
         if member and outcome.generator_quotients is not None:
@@ -207,7 +202,7 @@ def _certify_element(poly, j_ideal, parsed, config, order) -> dict | None:
         if coeff != 1:
             certificate = certificate.scale_root(coeff)
         return serialize.certificate_payload(certificate, parsed.variables)
-    j_poly = to_poly_ideal(j_ideal) if isinstance(j_ideal, MonomialIdeal) else j_ideal
+    j_poly = to_poly_ideal(j_ideal)
     extended = poly_ideal_sum(j_poly, PolyIdeal(j_poly.dim, (poly,)))
     witness = integrality.reduction_number(
         j_poly, extended, config.k_max, order, config.generator_cap, config.spair_cap
@@ -249,13 +244,7 @@ def _cmd_is_integral(args, config: Config) -> int:
             config.spair_cap,
         )
         if args.certify and verdict.is_yes:
-            dim = len(parsed_j.variables)
-            targets = (
-                [Polynomial.monomial(dim, exp) for exp in parsed_i.ideal.gens]
-                if isinstance(parsed_i.ideal, MonomialIdeal)
-                else list(parsed_i.ideal.gens)
-            )
-            for target in targets:
+            for target in to_poly_ideal(parsed_i.ideal).gens:
                 cert = _certify_element(target, parsed_j.ideal, parsed_j, config, order)
                 if cert is not None:
                     certificates.append(cert)

@@ -222,7 +222,10 @@ def unit_poly_ideal(dim: int) -> PolyIdeal:
     return PolyIdeal(dim, (Polynomial.one(dim),))
 
 
-def to_poly_ideal(ideal: MonomialIdeal) -> PolyIdeal:
+def to_poly_ideal(ideal: MonomialIdeal | PolyIdeal) -> PolyIdeal:
+    """The ideal as a ``PolyIdeal``; a ``PolyIdeal`` is returned unchanged."""
+    if isinstance(ideal, PolyIdeal):
+        return ideal
     gens = tuple(Polynomial.monomial(ideal.dim, g) for g in ideal.gens)
     return PolyIdeal(ideal.dim, gens)
 
@@ -276,21 +279,13 @@ def poly_ideal_sum(a: PolyIdeal, b: PolyIdeal) -> PolyIdeal:
     return PolyIdeal(a.dim, a.gens + b.gens)
 
 
-def _dedup(polys: list[Polynomial]) -> tuple[Polynomial, ...]:
-    seen: list[Polynomial] = []
-    for p in polys:
-        if p not in seen:
-            seen.append(p)
-    return tuple(seen)
-
-
 def poly_ideal_product(
     a: PolyIdeal, b: PolyIdeal, generator_cap: int = DEFAULT_GENERATOR_CAP
 ) -> PolyIdeal:
     """Generated by all pairwise products; duplicates dropped, no GB reduction."""
     if a.dim != b.dim:
         raise DimensionMismatchError("ideal dimensions differ")
-    products = _dedup([g * h for g in a.gens for h in b.gens])
+    products = tuple(dict.fromkeys(g * h for g in a.gens for h in b.gens))
     if len(products) > generator_cap:
         raise InstanceTooLargeError(
             f"product has {len(products)} generators, cap is {generator_cap}"
@@ -318,4 +313,4 @@ def poly_ideal_power(
             raise InstanceTooLargeError(
                 f"power has more than {generator_cap} generators"
             )
-    return PolyIdeal(a.dim, _dedup(products))
+    return PolyIdeal(a.dim, tuple(dict.fromkeys(products)))

@@ -2,8 +2,8 @@
 
 The oracles here deliberately re-derive answers from first principles
 (divisibility scans, box scans with the simplex, scaling, cofactor
-expansion) so library paths are checked against something they do not
-share code with.
+expansion, ideal equality by reduced Groebner bases) so library paths are
+checked against something they do not share code with.
 """
 
 from __future__ import annotations
@@ -16,6 +16,16 @@ from pathlib import Path
 
 import closure_lab
 from closure_lab import simplex
+from closure_lab.errors import PreconditionError
+from closure_lab.groebner import (
+    PolyIdeal,
+    poly_ideal_equal,
+    poly_ideal_member,
+    poly_ideal_power,
+    poly_ideal_product,
+    to_poly_ideal,
+)
+from closure_lab.integrality import NotUpTo, ReductionWitness
 from closure_lab.monomials import MonomialIdeal, ideal_power, minimalize
 from closure_lab.polynomials import Polynomial
 
@@ -76,6 +86,66 @@ def box_scan_closure(ideal: MonomialIdeal) -> MonomialIdeal:
         else:
             separators.append(outcome.functional)
     return MonomialIdeal(ideal.dim, tuple(kept))
+
+
+def equality_reduction_number(j_ideal, i_ideal, k_max: int):
+    """Reference reduction number of general ideals: the least k <= k_max with
+    I^(k+1) = J * I^k, each equality decided by comparing the reduced
+    Groebner bases of both sides (two bases per k)."""
+    j_poly = to_poly_ideal(j_ideal)
+    i_poly = to_poly_ideal(i_ideal)
+    for g in j_poly.gens:
+        if not poly_ideal_member(g, i_poly).member:
+            raise PreconditionError("J must be contained in I")
+    current = poly_ideal_power(i_poly, 0)
+    for k in range(k_max + 1):
+        next_power = poly_ideal_power(i_poly, k + 1)
+        product = poly_ideal_product(j_poly, current)
+        if poly_ideal_equal(next_power, product):
+            return ReductionWitness(k)
+        current = next_power
+    return NotUpTo(k_max)
+
+
+def sheared_general_pair(
+    rng: random.Random, extras: int = 1, repeat: bool = True
+) -> tuple[PolyIdeal, PolyIdeal]:
+    """A pair J in I of general ideals: a two-generator monomial ideal J
+    (dimension 2 or 3, exponents at most 3) and I = J + (f_1, ..., f_extras),
+    where each f is the rounded-up midpoint of J's generators (integral over
+    J) or a random monomial, all sheared by x_i -> x_i + c * x_j. With
+    ``repeat`` false, I is given by g + x_k * f_1 for each generator g of J,
+    then the f's, so none of I's generators is one of J's."""
+    dim = rng.choice((2, 3))
+    while True:
+        gens = [tuple(rng.randint(0, 3) for _ in range(dim)) for _ in range(2)]
+        if len(minimalize(dim, gens).gens) == 2:
+            break
+    points = []
+    for _ in range(extras):
+        if rng.random() < 0.5:
+            points.append(tuple((a + b + 1) // 2 for a, b in zip(*gens)))
+        else:
+            last = rng.randint(1, 3)  # a nonzero point keeps I proper
+            points.append(tuple(rng.randint(0, 3) for _ in range(dim - 1)) + (last,))
+    i, j = rng.sample(range(dim), 2)
+    c = rng.choice((-2, -1, 1, 2))
+    image = Polynomial.variable(dim, i) + Polynomial.variable(dim, j).scale(c)
+
+    def shear(exps):
+        rest = tuple(0 if k == i else e for k, e in enumerate(exps))
+        return Polynomial.monomial(dim, rest) * image ** exps[i]
+
+    j_gens = tuple(shear(g) for g in gens)
+    added = tuple(dict.fromkeys(shear(p) for p in points))
+    if repeat:
+        return PolyIdeal(dim, j_gens), PolyIdeal(dim, j_gens + added)
+    while True:
+        mixed = tuple(
+            g + Polynomial.variable(dim, rng.randrange(dim)) * added[0] for g in j_gens
+        )
+        if all(not g.is_zero for g in mixed):
+            return PolyIdeal(dim, j_gens), PolyIdeal(dim, mixed + added)
 
 
 def iterated_product(ideal: MonomialIdeal, n: int) -> MonomialIdeal:

@@ -30,7 +30,12 @@ from closure_lab.monomials import ideal_sum, minimalize, unit_ideal, zero_ideal
 from closure_lab.newton import closure
 from closure_lab.parsing import parse_polynomial
 from closure_lab.polynomials import Polynomial
-from helpers import mono, random_nonzero_polynomial
+from helpers import (
+    equality_reduction_number,
+    mono,
+    random_nonzero_polynomial,
+    sheared_general_pair,
+)
 
 
 def P(text, variables=("x", "y")):
@@ -73,6 +78,35 @@ def test_reduction_number_zero_ideals():
     assert reduction_number(zero_ideal(2), zero_ideal(2), 3) == ReductionWitness(0, True)
 
 
+# (extras, repeat) arguments of sheared_general_pair: I = J + (f) as the
+# certify benchmark draws it, two extra generators, and generators of I that
+# are none of J's.
+GENERAL_PAIR_KINDS = ((1, True), (2, True), (1, False))
+
+
+def test_reduction_number_agrees_with_equality_oracle_on_seeded_pairs():
+    outcomes = set()
+    for seed in range(30):
+        rng = random.Random(seed)
+        for extras, repeat in GENERAL_PAIR_KINDS:
+            j_poly, i_poly = sheared_general_pair(rng, extras, repeat)
+            expected = equality_reduction_number(j_poly, i_poly, 2)
+            assert reduction_number(j_poly, i_poly, 2) == expected
+            outcomes.add((extras, repeat, type(expected)))
+    assert outcomes == {
+        (extras, repeat, outcome)
+        for extras, repeat in GENERAL_PAIR_KINDS
+        for outcome in (ReductionWitness, NotUpTo)
+    }
+
+
+@given(st.integers(0, 10**6), st.sampled_from(GENERAL_PAIR_KINDS))
+@settings(max_examples=30, deadline=None)
+def test_reduction_number_agrees_with_equality_oracle(seed, kind):
+    j_poly, i_poly = sheared_general_pair(random.Random(seed), *kind)
+    assert reduction_number(j_poly, i_poly, 2) == equality_reduction_number(j_poly, i_poly, 2)
+
+
 # -- integrality of ideals -----------------------------------------------------
 
 
@@ -94,6 +128,13 @@ def test_is_integral_ideal_general_path():
     hard = PolyIdeal(2, (P("x"),))
     verdict = is_integral_ideal(j_poly, hard, 3)
     assert verdict == unknown(3)
+
+
+def test_is_integral_ideal_general_zero_base():
+    # the closure of (0) in a domain is (0)
+    zero = PolyIdeal(2, ())
+    assert is_integral_ideal(zero, PolyIdeal(2, (P("x + y"),)), 3) == NO
+    assert is_integral_ideal(zero, zero, 3) == YES
 
 
 # -- integrality of elements ---------------------------------------------------
@@ -122,6 +163,8 @@ def test_is_integral_element_outside_closure_is_unknown():
 def test_is_integral_element_degenerate_ideals():
     assert is_integral_element(P("x + y"), unit_ideal(2)) == YES
     assert is_integral_element(P("x"), zero_ideal(2)) == NO
+    assert is_integral_element(P("x + y"), zero_ideal(2)) == NO
+    assert is_integral_element(P("x + y"), PolyIdeal(2, ())) == NO
     with pytest.raises(PreconditionError):
         is_integral_element(Polynomial.zero(2), J22)
 
