@@ -236,7 +236,8 @@ def reduction_number(
 ) -> ReductionWitness | NotUpTo:
     """Least k <= k_max with I^(k+1) = J * I^k, each equality checked exactly.
 
-    Requires J to be a subideal of I. Monomial inputs use canonical
+    Requires J to be a subideal of I; a generator of J that is literally a
+    generator of I needs no membership test. Monomial inputs use canonical
     minimal-generator equality. For anything else, J in I gives
     J * I^k in I^(k+1), and writing I = J + E with E the generators of I not
     among J's gives I^(k+1) = J * I^k + E^(k+1); so the equality is the
@@ -261,6 +262,10 @@ def reduction_number(
     j_poly = to_poly_ideal(j_ideal)
     i_poly = to_poly_ideal(i_ideal)
     for g in j_poly.gens:
+        # A generator of J that is one of I's needs no Groebner basis of I;
+        # is_integral_ideal always asks about I = J + (...).
+        if g in i_poly.gens:
+            continue
         if not poly_ideal_member(g, i_poly, order, spair_cap).member:
             raise PreconditionError("J must be contained in I")
     extra = PolyIdeal(i_poly.dim, tuple(g for g in i_poly.gens if g not in j_poly.gens))
@@ -518,7 +523,7 @@ def cramer_certificate(
 
     # Characteristic matrix over the ring extended by t as a last coordinate.
     def lift_poly(p: Polynomial, t_power: int = 0) -> Polynomial:
-        return Polynomial(
+        return Polynomial._trusted(
             dim + 1, {e + (t_power,): c for e, c in p.terms.items()}
         )
 
@@ -538,7 +543,7 @@ def cramer_certificate(
     if by_t_degree.get(count) != {(0,) * dim: Fraction(1)}:
         raise InvariantViolationError("characteristic polynomial is not monic")
     coefficients = tuple(
-        Polynomial(dim, by_t_degree.get(count - i, {})) for i in range(1, count + 1)
+        Polynomial._trusted(dim, by_t_degree.get(count - i, {})) for i in range(1, count + 1)
     )
 
     equation = f ** count

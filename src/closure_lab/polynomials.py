@@ -4,11 +4,17 @@ and multivariate division with quotient tracking.
 Coefficients are ``fractions.Fraction``; exponent vectors are integer tuples
 as in :mod:`closure_lab.monomials`. Polynomials are immutable: operations
 return fresh values, so sharing across threads is safe.
+
+The public constructor validates its input: every exponent vector has the
+ring's length and nonnegative integer entries, every coefficient becomes a
+``Fraction``, and zero coefficients are dropped. Results of arithmetic are
+built from terms that are already valid, so they skip that validation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import neg
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError, PreconditionError
@@ -30,7 +36,7 @@ class TermOrder:
             return exps
         # grevlex: total degree first, then the last nonzero entry of the
         # difference decides with reversed sign.
-        return (sum(exps), tuple(-e for e in reversed(exps)))
+        return (sum(exps), tuple(map(neg, reversed(exps))))
 
     def __repr__(self) -> str:
         return f"TermOrder({self.name!r})"
@@ -50,8 +56,23 @@ def term_order(name: str) -> TermOrder:
     return TermOrder(name)
 
 
+def _exponents(dim: int, exps, what: str) -> ExponentVector:
+    """``exps`` as a validated exponent vector of a ring in ``dim`` variables."""
+    exps = tuple(map(int, exps))
+    if len(exps) != dim:
+        raise DimensionMismatchError(f"{what} has {len(exps)} exponents, expected {dim}")
+    if min(exps) < 0:  # dim >= 1, so exps is not empty
+        raise PreconditionError(f"negative exponent in {what} {exps}")
+    return exps
+
+
 class Polynomial:
-    """A sparse polynomial: a map from exponent vectors to nonzero rationals."""
+    """A sparse polynomial: a map from exponent vectors to nonzero rationals.
+
+    ``Polynomial(dim, terms)`` checks and normalizes ``terms``; arithmetic
+    results come from the private ``_trusted`` constructor, which stores a
+    dict already known to be valid.
+    """
 
     __slots__ = ("dim", "terms")
 
@@ -60,18 +81,22 @@ class Polynomial:
             raise PreconditionError(f"ambient dimension must be >= 1, got {dim}")
         clean: dict[ExponentVector, Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != dim:
-                raise DimensionMismatchError(
-                    f"term has {len(exps)} exponents, expected {dim}"
-                )
-            if any(e < 0 for e in exps):
-                raise PreconditionError(f"negative exponent in term {exps}")
+            exps = _exponents(dim, exps, "term")
             coeff = Fraction(coeff)
             if coeff:
                 clean[exps] = coeff
         self.dim = dim
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, dim: int, terms: dict[ExponentVector, Fraction]) -> Polynomial:
+        """Wrap ``terms`` without copying or checking it: the caller guarantees
+        length-``dim`` tuples of nonnegative ints mapped to nonzero Fractions,
+        and hands the dict over."""
+        poly = object.__new__(cls)
+        poly.dim = dim
+        poly.terms = terms
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -135,18 +160,32 @@ class Polynomial:
         self._check_dim(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            updated = terms.get(exps, Fraction(0)) + coeff
-            if updated:
-                terms[exps] = updated
+            if exps in terms:
+                updated = terms[exps] + coeff
+                if updated:
+                    terms[exps] = updated
+                else:
+                    del terms[exps]
             else:
-                terms.pop(exps, None)
-        return Polynomial(self.dim, terms)
+                terms[exps] = coeff
+        return Polynomial._trusted(self.dim, terms)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(self.dim, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Polynomial) -> Polynomial:
-        return self + (-other)
+        self._check_dim(other)
+        terms = dict(self.terms)
+        for exps, coeff in other.terms.items():
+            if exps in terms:
+                updated = terms[exps] - coeff
+                if updated:
+                    terms[exps] = updated
+                else:
+                    del terms[exps]
+            else:
+                terms[exps] = -coeff
+        return Polynomial._trusted(self.dim, terms)
 
     def __mul__(self, other) -> Polynomial:
         if isinstance(other, Polynomial):
@@ -155,12 +194,15 @@ class Polynomial:
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
                     exps = tuple(a + b for a, b in zip(e1, e2))
-                    updated = terms.get(exps, Fraction(0)) + c1 * c2
-                    if updated:
-                        terms[exps] = updated
+                    if exps in terms:
+                        updated = terms[exps] + c1 * c2
+                        if updated:
+                            terms[exps] = updated
+                        else:
+                            del terms[exps]
                     else:
-                        terms.pop(exps, None)
-            return Polynomial(self.dim, terms)
+                        terms[exps] = c1 * c2
+            return Polynomial._trusted(self.dim, terms)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -169,13 +211,15 @@ class Polynomial:
         factor = Fraction(factor)
         if not factor:
             return Polynomial.zero(self.dim)
-        return Polynomial(self.dim, {e: c * factor for e, c in self.terms.items()})
+        return Polynomial._trusted(self.dim, {e: c * factor for e, c in self.terms.items()})
 
     def mul_term(self, exps: ExponentVector, coeff) -> Polynomial:
+        """The product with the monomial ``coeff * x^exps``."""
+        exps = _exponents(self.dim, exps, "monomial")
         coeff = Fraction(coeff)
         if not coeff:
             return Polynomial.zero(self.dim)
-        return Polynomial(
+        return Polynomial._trusted(
             self.dim,
             {tuple(a + b for a, b in zip(e, exps)): c * coeff for e, c in self.terms.items()},
         )
@@ -221,7 +265,11 @@ def normal_form(
     """Multivariate division: f = sum(q_i * g_i) + r, exactly.
 
     No term of the remainder is divisible by any divisor's leading term, and
-    the outcome is deterministic given the order and the divisor sequence.
+    the outcome is deterministic given the order and the divisor sequence:
+    each step takes the leading term of what is left and cancels it with the
+    first divisor whose leading term divides it, or moves it to the
+    remainder. The dividend is reduced in one mutable term dict, and each
+    exponent's order key is computed once per call.
     """
     divisors = list(divisors)
     leads = []
@@ -231,23 +279,40 @@ def normal_form(
         if g.is_zero:
             raise PreconditionError("divisors must be nonzero")
         leads.append(g.leading_term(order))
-    quotients = [Polynomial.zero(f.dim) for _ in divisors]
-    remainder = Polynomial.zero(f.dim)
-    current = f
-    while not current.is_zero:
-        exps, coeff = current.leading_term(order)
+    keys = {exps: order.key(exps) for exps in f.terms}
+    current = dict(f.terms)
+    quotients: list[dict[ExponentVector, Fraction]] = [{} for _ in divisors]
+    remainder: dict[ExponentVector, Fraction] = {}
+    while current:
+        exps = max(current, key=keys.__getitem__)
+        coeff = current.pop(exps)
         for i, (lead_exps, lead_coeff) in enumerate(leads):
             if all(a <= b for a, b in zip(lead_exps, exps)):
                 shift = tuple(b - a for a, b in zip(lead_exps, exps))
                 factor = coeff / lead_coeff
-                quotients[i] += Polynomial.monomial(f.dim, shift, factor)
-                current = current - divisors[i].mul_term(shift, factor)
+                # Leading terms strictly decrease, so each shift occurs once.
+                quotients[i][shift] = factor
+                for term_exps, term_coeff in divisors[i].terms.items():
+                    if term_exps == lead_exps:
+                        continue  # cancels the leading term exactly
+                    target = tuple(a + b for a, b in zip(term_exps, shift))
+                    if target in current:
+                        updated = current[target] - factor * term_coeff
+                        if updated:
+                            current[target] = updated
+                        else:
+                            del current[target]
+                    else:
+                        current[target] = -factor * term_coeff
+                        if target not in keys:
+                            keys[target] = order.key(target)
                 break
         else:
-            lead = Polynomial.monomial(f.dim, exps, coeff)
-            remainder += lead
-            current = current - lead
-    return remainder, quotients
+            remainder[exps] = coeff
+    return (
+        Polynomial._trusted(f.dim, remainder),
+        [Polynomial._trusted(f.dim, q) for q in quotients],
+    )
 
 
 def exact_quotient(numerator: Polynomial, denominator: Polynomial, order: TermOrder = GREVLEX) -> Polynomial:

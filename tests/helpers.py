@@ -2,8 +2,9 @@
 
 The oracles here deliberately re-derive answers from first principles
 (divisibility scans, box scans with the simplex, scaling, cofactor
-expansion, ideal equality by reduced Groebner bases) so library paths are
-checked against something they do not share code with.
+expansion, ideal equality by reduced Groebner bases, division by whole
+polynomial operations) so library paths are checked against something they
+do not share code with.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import closure_lab
 from closure_lab import simplex
-from closure_lab.errors import PreconditionError
+from closure_lab.errors import DimensionMismatchError, PreconditionError
 from closure_lab.groebner import (
     PolyIdeal,
     poly_ideal_equal,
@@ -27,7 +28,7 @@ from closure_lab.groebner import (
 )
 from closure_lab.integrality import NotUpTo, ReductionWitness
 from closure_lab.monomials import MonomialIdeal, ideal_power, minimalize
-from closure_lab.polynomials import Polynomial
+from closure_lab.polynomials import Polynomial, TermOrder
 
 
 def package_env() -> dict[str, str]:
@@ -105,6 +106,39 @@ def equality_reduction_number(j_ideal, i_ideal, k_max: int):
             return ReductionWitness(k)
         current = next_power
     return NotUpTo(k_max)
+
+
+def reference_normal_form(
+    f: Polynomial, divisors, order: TermOrder
+) -> tuple[Polynomial, list[Polynomial]]:
+    """Reference multivariate division, one new Polynomial per operation:
+    the leading term of what is left is cancelled by the first divisor whose
+    leading term divides it, or moved to the remainder."""
+    divisors = list(divisors)
+    leads = []
+    for g in divisors:
+        if g.dim != f.dim:
+            raise DimensionMismatchError("divisor dimension differs from dividend")
+        if g.is_zero:
+            raise PreconditionError("divisors must be nonzero")
+        leads.append(g.leading_term(order))
+    quotients = [Polynomial.zero(f.dim) for _ in divisors]
+    remainder = Polynomial.zero(f.dim)
+    current = f
+    while not current.is_zero:
+        exps, coeff = current.leading_term(order)
+        for i, (lead_exps, lead_coeff) in enumerate(leads):
+            if all(a <= b for a, b in zip(lead_exps, exps)):
+                shift = tuple(b - a for a, b in zip(lead_exps, exps))
+                factor = coeff / lead_coeff
+                quotients[i] += Polynomial.monomial(f.dim, shift, factor)
+                current = current - divisors[i].mul_term(shift, factor)
+                break
+        else:
+            lead = Polynomial.monomial(f.dim, exps, coeff)
+            remainder += lead
+            current = current - lead
+    return remainder, quotients
 
 
 def sheared_general_pair(

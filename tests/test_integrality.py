@@ -64,6 +64,21 @@ def test_reduction_number_requires_containment():
         )
 
 
+def test_reduction_number_tests_generators_of_j_not_listed_in_i():
+    # x^2 is literally a generator of I; y is not and lies outside I.
+    with pytest.raises(PreconditionError):
+        reduction_number(
+            PolyIdeal(2, (P("x^2"), P("y"))), PolyIdeal(2, (P("x^2"), P("x*y"))), 3
+        )
+
+
+def test_reduction_number_accepts_generator_of_j_inside_i_but_not_listed():
+    # x^2 = (x^2 + y^2) - y^2 lies in I without being one of its generators.
+    j_poly = PolyIdeal(2, (P("x^2"), P("y^2")))
+    i_poly = PolyIdeal(2, (P("x^2 + y^2"), P("x*y"), P("y^2")))
+    assert reduction_number(j_poly, i_poly, 3) == ReductionWitness(1)
+
+
 def test_reduction_number_general_path_matches_monomial_path():
     witness = reduction_number(to_poly_ideal(J22), to_poly_ideal(I22), 10)
     assert isinstance(witness, ReductionWitness) and witness.k == 1

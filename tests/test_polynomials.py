@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from closure_lab.errors import DimensionMismatchError, PreconditionError
+from closure_lab.groebner import buchberger
 from closure_lab.polynomials import (
     GREVLEX,
     LEX,
@@ -15,7 +16,12 @@ from closure_lab.polynomials import (
     normal_form,
     term_order,
 )
-from helpers import random_nonzero_polynomial, random_polynomial
+from helpers import (
+    random_nonzero_polynomial,
+    random_polynomial,
+    reference_normal_form,
+    sheared_general_pair,
+)
 
 
 def P(dim, terms):
@@ -112,3 +118,103 @@ def test_division_identity_on_random_inputs(seed):
     for exps in remainder.terms:
         for lead in leads:
             assert not all(a <= b for a, b in zip(lead, exps))
+
+
+def assert_same_division(f, divisors, order):
+    remainder, quotients = normal_form(f, divisors, order)
+    expected_remainder, expected_quotients = reference_normal_form(f, divisors, order)
+    assert remainder == expected_remainder
+    assert len(quotients) == len(expected_quotients)
+    for quotient, expected in zip(quotients, expected_quotients):
+        assert quotient == expected
+
+
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from((GREVLEX, LEX)),
+)
+@settings(deadline=None)
+def test_division_matches_reference_on_random_inputs(seed, dim, count, order):
+    rng = random.Random(seed)
+    f = random_polynomial(rng, dim, max_terms=6)
+    divisors = [random_nonzero_polynomial(rng, dim) for _ in range(count)]
+    assert_same_division(f, divisors, order)
+
+
+def test_division_matches_reference_on_sheared_pairs():
+    # Dividends are products of two generators of I; divisors are I's own
+    # generators (remainders mostly nonzero) and I's reduced Groebner basis
+    # (computed with the division under test, so its cofactors are checked).
+    for seed in range(20):
+        rng = random.Random(seed)
+        j_poly, i_poly = sheared_general_pair(rng, rng.choice((1, 2)), rng.random() < 0.5)
+        for order in (GREVLEX, LEX):
+            gb = buchberger(i_poly.gens, order)
+            assert gb.verify_cofactors()
+            for g in i_poly.gens:
+                for h in j_poly.gens:
+                    assert_same_division(g * h, i_poly.gens, order)
+                    assert_same_division(g * h, gb.basis, order)
+
+
+def assert_valid_terms(poly):
+    assert type(poly.terms) is dict
+    for exps, coeff in poly.terms.items():
+        assert type(exps) is tuple and len(exps) == poly.dim
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(coeff) is Fraction and coeff != 0
+    assert poly == Polynomial(poly.dim, poly.terms)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_arithmetic_results_keep_the_constructor_invariant(seed, dim):
+    rng = random.Random(seed)
+    pool = [random_polynomial(rng, dim, max_terms=3, max_exp=2) for _ in range(3)]
+    pool.append(Polynomial.zero(dim))
+    for _ in range(8):
+        a, b = rng.choice(pool), rng.choice(pool)
+        op = rng.choice(("add", "sub", "mul", "scale", "mul_term", "pow", "normal_form"))
+        if op == "add":
+            results = [a + b, a + (-a)]
+        elif op == "sub":
+            results = [a - b, a - a]
+        elif op == "mul":
+            results = [a * b]
+        elif op == "scale":
+            results = [a.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))]
+        elif op == "mul_term":
+            shift = tuple(rng.randint(0, 2) for _ in range(dim))
+            results = [a.mul_term(shift, rng.randint(-2, 2))]
+        elif op == "pow":
+            results = [a ** rng.randint(0, 2)]
+        else:
+            divisors = [p for p in (b, rng.choice(pool)) if not p.is_zero]
+            if not divisors:
+                continue
+            remainder, quotients = normal_form(a, divisors, rng.choice((GREVLEX, LEX)))
+            results = [remainder, *quotients]
+        for result in results:
+            assert_valid_terms(result)
+        # Keep the pool small enough that products stay cheap.
+        pool.extend(r for r in results if r.total_degree() <= 8 and len(r.terms) <= 12)
+
+
+def test_constructor_and_mul_term_still_reject_bad_exponents():
+    with pytest.raises(DimensionMismatchError):
+        Polynomial(2, {(1, 0, 0): Fraction(0)})
+    with pytest.raises(PreconditionError):
+        Polynomial(2, {(-1, 0): Fraction(0)})
+    with pytest.raises(PreconditionError):
+        Polynomial(0)
+    assert Polynomial(2, {(True, 2.0): 3}).terms == {(1, 2): Fraction(3)}
+    x = Polynomial.variable(2, 0)
+    with pytest.raises(DimensionMismatchError):
+        x.mul_term((1,), 1)
+    with pytest.raises(DimensionMismatchError):
+        x.mul_term((1, 0, 0), 1)
+    with pytest.raises(PreconditionError):
+        x.mul_term((-1, 0), 1)
+    assert x.mul_term((0, 2), 3) == Polynomial.monomial(2, (1, 2), 3)
