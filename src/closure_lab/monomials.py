@@ -6,6 +6,16 @@ ideal is identified with the antichain of its minimal generators under
 componentwise <=; the zero ideal is the empty antichain and the unit ideal
 is the single all-zeros vector.
 
+Divisor search runs on a coordinate trie: nested dicts keyed by the last
+exponent, then the one before it, and so on down to the first, with one
+root-to-leaf path per stored vector. A vector g divides m exactly when
+g_j <= m_j at every coordinate, so a query descends only into children whose
+key is at most the query's coordinate at that depth. The root is keyed by
+the last exponent because minimalization stores vectors in ascending
+lexicographic order: every stored first exponent is at most the query's, so
+a root keyed by it would prune nothing. A trie is built locally by the call
+that searches it.
+
 All values are immutable and every operation is a pure function of its
 inputs, so everything here is safe to share across threads.
 """
@@ -41,19 +51,41 @@ def vector_sum(a: ExponentVector, b: ExponentVector) -> ExponentVector:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def total_degree(a: ExponentVector) -> int:
-    return sum(a)
+def _trie_insert(trie: dict, v: ExponentVector) -> None:
+    """Store v in the trie, last coordinate at the root (module docstring)."""
+    node = trie
+    for c in reversed(v):
+        node = node.setdefault(c, {})
+
+
+def _trie_has_divisor(trie: dict, m: ExponentVector) -> bool:
+    """True iff some vector stored in the trie divides m; every stored vector
+    has m's length. Walks the trie one depth at a time, keeping every node
+    whose path so far is <= m's coordinates."""
+    level = [trie]
+    for c in reversed(m):
+        level = [child for node in level for key, child in node.items() if key <= c]
+        if not level:
+            return False
+    return True
 
 
 def _minimal_vectors(vectors: Iterable[ExponentVector]) -> list[ExponentVector]:
-    """The <=-minimal elements of a set of vectors (sorted, deduplicated)."""
-    # Sorting by total degree means a vector can only be dominated by an
-    # earlier survivor, so one forward pass suffices.
-    pending = sorted(set(vectors), key=lambda v: (total_degree(v), v))
+    """The <=-minimal elements of a set of vectors, deduplicated, in ascending
+    lexicographic order.
+
+    A proper divisor g of v is lexicographically smaller than v (at the first
+    coordinate where they differ, g's is smaller), so after sorting, a vector
+    can only be divided by an earlier one, and since divisibility is
+    transitive, by an earlier survivor. One forward pass that asks a trie of
+    the survivors for a divisor therefore suffices.
+    """
+    trie: dict = {}
     kept: list[ExponentVector] = []
-    for v in pending:
-        if not any(divides(g, v) for g in kept):
+    for v in sorted(set(vectors)):
+        if not _trie_has_divisor(trie, v):
             kept.append(v)
+            _trie_insert(trie, v)
     return kept
 
 
@@ -73,8 +105,16 @@ class MonomialIdeal:
         if self.dim < 1:
             raise PreconditionError(f"ambient dimension must be >= 1, got {self.dim}")
         vecs = [as_exponent_vector(v, self.dim) for v in self.gens]
-        minimal = tuple(sorted(_minimal_vectors(vecs), reverse=True))
-        object.__setattr__(self, "gens", minimal)
+        object.__setattr__(self, "gens", tuple(reversed(_minimal_vectors(vecs))))
+
+    @classmethod
+    def _from_valid(cls, dim: int, vectors: Iterable[ExponentVector]) -> MonomialIdeal:
+        """The ideal generated by ``vectors``, minimalized without checking
+        them: the caller guarantees tuples of ``dim`` nonnegative ints."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "dim", dim)
+        object.__setattr__(ideal, "gens", tuple(reversed(_minimal_vectors(vectors))))
+        return ideal
 
     @property
     def is_zero(self) -> bool:
@@ -120,7 +160,7 @@ def contains_monomial(ideal: MonomialIdeal, m: ExponentVector) -> bool:
 
 def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     _check_same_dim(a, b)
-    return MonomialIdeal(a.dim, a.gens + b.gens)
+    return MonomialIdeal._from_valid(a.dim, a.gens + b.gens)
 
 
 def ideal_product(
@@ -131,7 +171,7 @@ def ideal_product(
     if a.is_zero or b.is_zero:
         return zero_ideal(a.dim)
     pairwise = {vector_sum(g, h) for g in a.gens for h in b.gens}
-    result = MonomialIdeal(a.dim, tuple(pairwise))
+    result = MonomialIdeal._from_valid(a.dim, pairwise)
     if len(result.gens) > generator_cap:
         raise InstanceTooLargeError(
             f"product has {len(result.gens)} minimal generators, cap is {generator_cap}"
@@ -168,4 +208,7 @@ def ideal_power(
 def ideal_contains(a: MonomialIdeal, b: MonomialIdeal) -> bool:
     """True iff b is a subideal of a (every generator of b lies in a)."""
     _check_same_dim(a, b)
-    return all(contains_monomial(a, g) for g in b.gens)
+    trie: dict = {}
+    for g in a.gens:
+        _trie_insert(trie, g)
+    return all(_trie_has_divisor(trie, g) for g in b.gens)

@@ -199,7 +199,7 @@ def closure(
         least = max(least, 0)
         if least <= bounds[-1]:
             points.append(prefix + (least,))
-    return MonomialIdeal(ideal.dim, tuple(points))
+    return MonomialIdeal._from_valid(ideal.dim, points)
 
 
 def closure_member(ideal: MonomialIdeal, m: ExponentVector) -> bool:

@@ -1,10 +1,10 @@
 """Shared test utilities: tiny constructors and independent oracles.
 
 The oracles here deliberately re-derive answers from first principles
-(divisibility scans, box scans with the simplex, scaling, cofactor
-expansion, ideal equality by reduced Groebner bases, division by whole
-polynomial operations) so library paths are checked against something they
-do not share code with.
+(divisibility scans, pairwise minimalization, box scans with the simplex,
+scaling, cofactor expansion, ideal equality by reduced Groebner bases,
+division by whole polynomial operations) so library paths are checked
+against something they do not share code with.
 """
 
 from __future__ import annotations
@@ -27,7 +27,13 @@ from closure_lab.groebner import (
     to_poly_ideal,
 )
 from closure_lab.integrality import NotUpTo, ReductionWitness
-from closure_lab.monomials import MonomialIdeal, ideal_power, minimalize
+from closure_lab.monomials import (
+    MonomialIdeal,
+    contains_monomial,
+    divides,
+    ideal_power,
+    minimalize,
+)
 from closure_lab.polynomials import Polynomial, TermOrder
 
 
@@ -49,6 +55,28 @@ def brute_contains(ideal: MonomialIdeal, m) -> bool:
         if all(g[i] <= m[i] for i in range(len(m))):
             return True
     return False
+
+
+def reference_minimal_vectors(vectors) -> list:
+    """Reference minimalization by pairwise scan: the <=-minimal elements of
+    a set of vectors, deduplicated, in ascending (total degree, vector)
+    order. Each candidate is compared with every earlier survivor."""
+    # Sorting by total degree means a vector can only be dominated by an
+    # earlier survivor, so one forward pass suffices.
+    pending = sorted(set(vectors), key=lambda v: (sum(v), v))
+    kept = []
+    for v in pending:
+        if not any(divides(g, v) for g in kept):
+            kept.append(v)
+    return kept
+
+
+def reference_ideal_contains(a: MonomialIdeal, b: MonomialIdeal) -> bool:
+    """Reference containment: each generator of b is looked up in a by a
+    linear divisibility scan."""
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"ideal dimensions differ: {a.dim} vs {b.dim}")
+    return all(contains_monomial(a, g) for g in b.gens)
 
 
 def scaling_closure_member(ideal: MonomialIdeal, m, n_limit: int = 6) -> bool:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,8 +10,11 @@ from closure_lab.errors import (
     InstanceTooLargeError,
     PreconditionError,
 )
+from closure_lab import monomials
+from closure_lab.lab import random_monomial_ideal
 from closure_lab.monomials import (
     MonomialIdeal,
+    _minimal_vectors,
     contains_monomial,
     ideal_contains,
     ideal_power,
@@ -19,7 +24,14 @@ from closure_lab.monomials import (
     unit_ideal,
     zero_ideal,
 )
-from helpers import brute_contains, iterated_product, mono
+from closure_lab.newton import closure
+from helpers import (
+    brute_contains,
+    iterated_product,
+    mono,
+    reference_ideal_contains,
+    reference_minimal_vectors,
+)
 
 
 def test_minimalize_drops_divisible_generators():
@@ -155,3 +167,110 @@ def test_contains_is_transitive(a, b, c):
 @given(ideals2)
 def test_contains_is_reflexive(a):
     assert ideal_contains(a, a)
+
+
+# -- the trie kernel against the pairwise-scan reference ----------------------
+
+
+@st.composite
+def vector_lists(draw):
+    """Lists of same-length vectors (dimension 1-4) with zero coordinates,
+    repeats and, sometimes, the zero vector."""
+    dim = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(0, 4)] * dim)
+    vectors = draw(st.lists(vector, max_size=12))
+    vectors += draw(st.lists(st.sampled_from(vectors), max_size=3)) if vectors else []
+    if draw(st.booleans()):
+        vectors.insert(draw(st.integers(0, len(vectors))), (0,) * dim)
+    return dim, vectors
+
+
+@given(vector_lists())
+def test_minimal_vectors_match_reference(drawn):
+    dim, vectors = drawn
+    expected = reference_minimal_vectors(vectors)
+    assert _minimal_vectors(vectors) == sorted(expected)
+    assert minimalize(dim, vectors).gens == tuple(sorted(expected, reverse=True))
+
+
+@st.composite
+def ideal_pairs(draw):
+    dim, left = draw(vector_lists())
+    vector = st.tuples(*[st.integers(0, 4)] * dim)
+    right = draw(st.lists(vector, max_size=8))
+    return minimalize(dim, left), minimalize(dim, right)
+
+
+@given(ideal_pairs())
+def test_ideal_contains_matches_reference(pair):
+    a, b = pair
+    zero = zero_ideal(a.dim)
+    for left, right in ((a, b), (b, a), (zero, a), (a, zero), (zero, zero)):
+        assert ideal_contains(left, right) == reference_ideal_contains(left, right)
+
+
+def test_kernel_results_match_reference_minimalization(monkeypatch):
+    """Products, powers and closures of suite-distributed ideals have the same
+    generators when the reference scan minimalizes the same inputs."""
+    rng = random.Random(20161)
+    pairs = []
+    for _ in range(40):
+        dim = rng.choice((2, 3))
+        pairs.append((random_monomial_ideal(rng, dim), random_monomial_ideal(rng, dim)))
+
+    def results():
+        # the uncached bodies, so both passes really compute
+        return [
+            (
+                ideal_product(a, b).gens,
+                [ideal_power.__wrapped__(a, n).gens for n in range(4)],
+                closure.__wrapped__(a).gens,
+            )
+            for a, b in pairs
+        ]
+
+    fast = results()
+    monkeypatch.setattr(
+        monomials,
+        "_minimal_vectors",
+        lambda vectors: sorted(reference_minimal_vectors(vectors)),
+    )
+    assert results() == fast
+
+
+@st.composite
+def operation_chains(draw):
+    dim = draw(st.sampled_from((2, 3)))
+    vector = st.tuples(*[st.integers(0, 4 if dim == 2 else 3)] * dim)
+    ideals = st.lists(vector, max_size=4).map(lambda vs: minimalize(dim, vs))
+    pool = draw(st.lists(ideals, min_size=1, max_size=3))
+    steps = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("sum", "product", "power", "closure")),
+                st.integers(0, 2),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return pool, steps
+
+
+@given(operation_chains())
+def test_internal_results_equal_their_validating_rebuild(chain):
+    pool, steps = chain
+    current = pool[0]
+    for operation, k in steps:
+        other = pool[k % len(pool)]
+        if operation == "sum":
+            current = ideal_sum(current, other)
+        elif operation == "product":
+            current = ideal_product(current, other)
+        elif operation == "power":
+            current = ideal_power(current, k)
+        else:
+            current = closure(current)
+        rebuilt = MonomialIdeal(current.dim, current.gens)
+        assert rebuilt == current
+        assert rebuilt.gens == current.gens
