@@ -17,7 +17,6 @@ from .groebner import (
     Membership,
     PolyIdeal,
     buchberger,
-    poly_ideal_equal,
     poly_ideal_member,
     poly_ideal_power,
     poly_ideal_product,

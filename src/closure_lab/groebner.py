@@ -3,22 +3,30 @@
 Every Groebner basis element carries a cofactor row expressing it as an
 exact combination of the original generators; membership tests compose
 division quotients through those rows, so callers get explicit lifts
-``f = sum(q_k * gen_k)`` suitable for certificate construction.
+``f = sum(q_k * gen_k)`` suitable for certificate construction. One
+helper forms every such combination of rows.
 
 Pair bookkeeping uses the Gebauer-Moeller update, which implements the
-product and chain criteria for skipping predictably useless S-pairs.
+product and chain criteria for skipping predictably useless S-pairs; each
+pending pair keeps the lcm of its two leads from the moment it is made.
+
+The power of a general ideal is a chain of products, so A^n has the
+generators, in the same order, of the A * A^(n-1) that callers build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from typing import Iterable
 
 from .config import DEFAULT_GENERATOR_CAP, DEFAULT_SPAIR_CAP
 from .errors import DimensionMismatchError, InstanceTooLargeError, PreconditionError
 from .monomials import ExponentVector, MonomialIdeal, divides, vector_sum
 from .polynomials import GREVLEX, Polynomial, TermOrder, normal_form
+
+
+Row = tuple[Polynomial, ...]
 
 
 def _lcm(a: ExponentVector, b: ExponentVector) -> ExponentVector:
@@ -45,6 +53,19 @@ class GroebnerBasis:
         return True
 
 
+def _combine(dim: int, count: int, combination: Iterable[tuple[Polynomial, Row]]) -> Row:
+    """The row sum(c * row) over (c, row) pairs, rows of ``count`` entries;
+    zero coefficients and zero entries are skipped."""
+    total = [Polynomial.zero(dim)] * count
+    for coeff, row in combination:
+        if coeff.is_zero:
+            continue
+        for k, entry in enumerate(row):
+            if not entry.is_zero:
+                total[k] = total[k] + coeff * entry
+    return tuple(total)
+
+
 def buchberger(
     generators: tuple[Polynomial, ...] | list[Polynomial],
     order: TermOrder = GREVLEX,
@@ -64,113 +85,92 @@ def buchberger(
 
     count = len(generators)
     basis: list[Polynomial] = []
-    rows: list[list[Polynomial]] = []
+    rows: list[Row] = []
     lms: list[ExponentVector] = []
-    pairs: set[tuple[int, int]] = set()
+    # Each pending S-pair (i, j), i < j, maps to lcm(lms[i], lms[j]).
+    pairs: dict[tuple[int, int], ExponentVector] = {}
 
-    def add_element(poly: Polynomial, row: list[Polynomial]) -> None:
+    def add_element(poly: Polynomial, combination: list[tuple[Polynomial, Row]]) -> None:
+        """Append poly made monic, with the row sum(c * row) scaled alike."""
         lead_exps, lead_coeff = poly.leading_term(order)
         inv = 1 / lead_coeff
-        poly = poly.scale(inv)
-        row = [q.scale(inv) for q in row]
         new_index = len(basis)
+        new_lcms = [_lcm(lead, lead_exps) for lead in lms]
         # Gebauer-Moeller update: prune pairs made redundant by the new lead
         # monomial (chain criterion) and skip coprime pairs (product criterion).
-        survivors = set()
-        for i, j in pairs:
-            pair_lcm = _lcm(lms[i], lms[j])
-            if (
-                not divides(lead_exps, pair_lcm)
-                or pair_lcm == _lcm(lms[i], lead_exps)
-                or pair_lcm == _lcm(lms[j], lead_exps)
-            ):
-                survivors.add((i, j))
+        survivors = {
+            (i, j): pair_lcm
+            for (i, j), pair_lcm in pairs.items()
+            if not divides(lead_exps, pair_lcm)
+            or pair_lcm == new_lcms[i]
+            or pair_lcm == new_lcms[j]
+        }
         buckets: dict[ExponentVector, list[int]] = {}
-        for i in range(new_index):
-            buckets.setdefault(_lcm(lms[i], lead_exps), []).append(i)
+        for i, candidate in enumerate(new_lcms):
+            buckets.setdefault(candidate, []).append(i)
         kept_lcms: list[ExponentVector] = []
         for candidate in sorted(buckets, key=order.key):
             if not any(divides(kept, candidate) for kept in kept_lcms):
                 kept_lcms.append(candidate)
         for candidate in kept_lcms:
             bucket = buckets[candidate]
-            if any(_lcm(lms[i], lead_exps) == vector_sum(lms[i], lead_exps) for i in bucket):
+            if any(candidate == vector_sum(lms[i], lead_exps) for i in bucket):
                 continue
-            survivors.add((min(bucket), new_index))
+            survivors[(bucket[0], new_index)] = candidate
         pairs.clear()
         pairs.update(survivors)
-        basis.append(poly)
-        rows.append(row)
+        basis.append(poly.scale(inv))
+        scaled = [(c.scale(inv), row) for c, row in combination if not c.is_zero]
+        rows.append(_combine(dim, count, scaled))
         lms.append(lead_exps)
         if len(pairs) > spair_cap:
             raise InstanceTooLargeError(
                 f"S-pair queue reached {len(pairs)}, cap is {spair_cap}"
             )
 
+    zero, one = Polynomial.zero(dim), Polynomial.one(dim)
     for k, g in enumerate(generators):
-        row = [Polynomial.zero(dim) for _ in range(count)]
-        row[k] = Polynomial.one(dim)
-        add_element(g, row)
+        add_element(g, [(one, tuple(one if m == k else zero for m in range(count)))])
 
     processed = 0
     while pairs:
-        i, j = min(pairs, key=lambda p: (order.key(_lcm(lms[p[0]], lms[p[1]])), p))
-        pairs.remove((i, j))
+        (i, j), pair_lcm = min(pairs.items(), key=lambda item: (order.key(item[1]), item[0]))
+        del pairs[(i, j)]
         processed += 1
         if processed > spair_cap:
             raise InstanceTooLargeError(f"processed {processed} S-pairs, cap is {spair_cap}")
-        pair_lcm = _lcm(lms[i], lms[j])
-        shift_i = tuple(a - b for a, b in zip(pair_lcm, lms[i]))
-        shift_j = tuple(a - b for a, b in zip(pair_lcm, lms[j]))
-        spoly = basis[i].mul_term(shift_i, 1) - basis[j].mul_term(shift_j, 1)
-        srow = [
-            rows[i][k].mul_term(shift_i, 1) - rows[j][k].mul_term(shift_j, 1)
-            for k in range(count)
-        ]
+        shift_i = Polynomial.monomial(dim, [a - b for a, b in zip(pair_lcm, lms[i])])
+        shift_j = Polynomial.monomial(dim, [a - b for a, b in zip(pair_lcm, lms[j])], -1)
+        spoly = shift_i * basis[i] + shift_j * basis[j]
         remainder, quotients = normal_form(spoly, basis, order)
         if remainder.is_zero:
             continue
-        for m, quotient in enumerate(quotients):
-            if not quotient.is_zero:
-                for k in range(count):
-                    srow[k] = srow[k] - quotient * rows[m][k]
-        add_element(remainder, srow)
+        combination = [(shift_i, rows[i]), (shift_j, rows[j])]
+        combination += [(-q, row) for q, row in zip(quotients, rows)]
+        add_element(remainder, combination)
 
     # Minimal basis: drop elements whose lead is divisible by another lead.
-    keep_order = sorted(range(len(basis)), key=lambda idx: order.key(lms[idx]))
+    # The survivors ascend in lead order, with distinct leads.
     kept: list[int] = []
-    for idx in keep_order:
+    for idx in sorted(range(len(basis)), key=lambda idx: order.key(lms[idx])):
         if not any(divides(lms[other], lms[idx]) for other in kept):
             kept.append(idx)
 
     # Tail-reduce each survivor against the others; leads are untouched, so
     # one pass against the pre-reduction versions yields the reduced basis.
-    minimal = [basis[idx] for idx in kept]
-    minimal_rows = [rows[idx] for idx in kept]
     reduced: list[Polynomial] = []
-    reduced_rows: list[tuple[Polynomial, ...]] = []
-    for pos, poly in enumerate(minimal):
-        others = minimal[:pos] + minimal[pos + 1 :]
-        other_rows = minimal_rows[:pos] + minimal_rows[pos + 1 :]
-        remainder, quotients = normal_form(poly, others, order)
-        row = list(minimal_rows[pos])
-        for quotient, other_row in zip(quotients, other_rows):
-            if not quotient.is_zero:
-                for k in range(count):
-                    row[k] = row[k] - quotient * other_row[k]
+    reduced_rows: list[Row] = []
+    for idx in kept:
+        others = [other for other in kept if other != idx]
+        remainder, quotients = normal_form(basis[idx], [basis[o] for o in others], order)
+        combination = [(one, rows[idx])]
+        combination += [(-q, rows[o]) for q, o in zip(quotients, others)]
         reduced.append(remainder)
-        reduced_rows.append(tuple(row))
+        reduced_rows.append(_combine(dim, count, combination))
 
-    presentation = sorted(
-        range(len(reduced)),
-        key=lambda idx: order.key(reduced[idx].leading_term(order)[0]),
-        reverse=True,
-    )
+    # Presented in descending lead order.
     return GroebnerBasis(
-        order,
-        generators,
-        tuple(reduced[idx] for idx in presentation),
-        tuple(reduced_rows[idx] for idx in presentation),
+        order, generators, tuple(reversed(reduced)), tuple(reversed(reduced_rows))
     )
 
 
@@ -253,24 +253,7 @@ def poly_ideal_member(
     remainder, quotients = normal_form(f, gb.basis, order)
     if not remainder.is_zero:
         return Membership(False, None)
-    composed = [Polynomial.zero(ideal.dim) for _ in ideal.gens]
-    for quotient, row in zip(quotients, gb.cofactors):
-        if not quotient.is_zero:
-            for k in range(len(ideal.gens)):
-                composed[k] += quotient * row[k]
-    return Membership(True, tuple(composed))
-
-
-def poly_ideal_equal(
-    a: PolyIdeal,
-    b: PolyIdeal,
-    order: TermOrder = GREVLEX,
-    spair_cap: int = DEFAULT_SPAIR_CAP,
-) -> bool:
-    """Ideal equality: the reduced Groebner bases coincide."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError("ideal dimensions differ")
-    return a.groebner(order, spair_cap).basis == b.groebner(order, spair_cap).basis
+    return Membership(True, _combine(ideal.dim, len(ideal.gens), zip(quotients, gb.cofactors)))
 
 
 def poly_ideal_sum(a: PolyIdeal, b: PolyIdeal) -> PolyIdeal:
@@ -296,21 +279,15 @@ def poly_ideal_product(
 def poly_ideal_power(
     a: PolyIdeal, n: int, generator_cap: int = DEFAULT_GENERATOR_CAP
 ) -> PolyIdeal:
-    """Generated by the distinct n-fold products of generators; A^0 = (1)."""
+    """A^n as A * A^(n-1) by :func:`poly_ideal_product`, from A^0 = (1).
+
+    The generators are the distinct n-fold products of A's generators, in
+    order of first occurrence, and ``generator_cap`` bounds the distinct
+    generators of each step, as it does for a single product.
+    """
     if n < 0:
         raise PreconditionError(f"exponent must be nonnegative, got {n}")
-    if n == 0:
-        return unit_poly_ideal(a.dim)
-    if a.is_zero:
-        return PolyIdeal(a.dim, ())
-    products: list[Polynomial] = []
-    for combo in combinations_with_replacement(range(len(a.gens)), n):
-        value = a.gens[combo[0]]
-        for idx in combo[1:]:
-            value = value * a.gens[idx]
-        products.append(value)
-        if len(products) > generator_cap:
-            raise InstanceTooLargeError(
-                f"power has more than {generator_cap} generators"
-            )
-    return PolyIdeal(a.dim, tuple(dict.fromkeys(products)))
+    power = unit_poly_ideal(a.dim)
+    for _ in range(n):
+        power = poly_ideal_product(a, power, generator_cap)
+    return power

@@ -142,9 +142,6 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def coefficient(self, exps: ExponentVector) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
     def sorted_terms(self, order: TermOrder = GREVLEX) -> list[tuple[ExponentVector, Fraction]]:
         return [(e, self.terms[e]) for e in sorted(self.terms, key=order.key, reverse=True)]
 
@@ -238,10 +235,6 @@ class Polynomial:
                 base = base * base
         return result
 
-    def monic(self, order: TermOrder) -> Polynomial:
-        _, coeff = self.leading_term(order)
-        return self.scale(Fraction(1) / coeff)
-
     # -- equality ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -315,9 +308,9 @@ def normal_form(
     )
 
 
-def exact_quotient(numerator: Polynomial, denominator: Polynomial, order: TermOrder = GREVLEX) -> Polynomial:
+def exact_quotient(numerator: Polynomial, denominator: Polynomial) -> Polynomial:
     """The quotient when the division is known to be exact; raises otherwise."""
-    remainder, quotients = normal_form(numerator, [denominator], order)
+    remainder, quotients = normal_form(numerator, [denominator], GREVLEX)
     if not remainder.is_zero:
         raise PreconditionError("division is not exact")
     return quotients[0]

@@ -3,8 +3,9 @@
 The oracles here deliberately re-derive answers from first principles
 (divisibility scans, pairwise minimalization, box scans with the simplex,
 scaling, cofactor expansion, ideal equality by reduced Groebner bases,
-division by whole polynomial operations) so library paths are checked
-against something they do not share code with.
+division by whole polynomial operations, Buchberger's loop with every lcm
+and cofactor row recomputed in place) so library paths are checked against
+something they do not share code with.
 """
 
 from __future__ import annotations
@@ -17,10 +18,15 @@ from pathlib import Path
 
 import closure_lab
 from closure_lab import simplex
-from closure_lab.errors import DimensionMismatchError, PreconditionError
+from closure_lab.config import DEFAULT_SPAIR_CAP
+from closure_lab.errors import (
+    DimensionMismatchError,
+    InstanceTooLargeError,
+    PreconditionError,
+)
 from closure_lab.groebner import (
+    GroebnerBasis,
     PolyIdeal,
-    poly_ideal_equal,
     poly_ideal_member,
     poly_ideal_power,
     poly_ideal_product,
@@ -28,13 +34,15 @@ from closure_lab.groebner import (
 )
 from closure_lab.integrality import NotUpTo, ReductionWitness
 from closure_lab.monomials import (
+    ExponentVector,
     MonomialIdeal,
     contains_monomial,
     divides,
     ideal_power,
     minimalize,
+    vector_sum,
 )
-from closure_lab.polynomials import Polynomial, TermOrder
+from closure_lab.polynomials import GREVLEX, Polynomial, TermOrder, normal_form
 
 
 def package_env() -> dict[str, str]:
@@ -117,6 +125,18 @@ def box_scan_closure(ideal: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(ideal.dim, tuple(kept))
 
 
+def poly_ideal_equal(
+    a: PolyIdeal,
+    b: PolyIdeal,
+    order: TermOrder = GREVLEX,
+    spair_cap: int = DEFAULT_SPAIR_CAP,
+) -> bool:
+    """Ideal equality: the reduced Groebner bases coincide."""
+    if a.dim != b.dim:
+        raise DimensionMismatchError("ideal dimensions differ")
+    return a.groebner(order, spair_cap).basis == b.groebner(order, spair_cap).basis
+
+
 def equality_reduction_number(j_ideal, i_ideal, k_max: int):
     """Reference reduction number of general ideals: the least k <= k_max with
     I^(k+1) = J * I^k, each equality decided by comparing the reduced
@@ -167,6 +187,158 @@ def reference_normal_form(
             remainder += lead
             current = current - lead
     return remainder, quotients
+
+
+def _lcm(a: ExponentVector, b: ExponentVector) -> ExponentVector:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def reference_buchberger(
+    generators: tuple[Polynomial, ...] | list[Polynomial],
+    order: TermOrder = GREVLEX,
+    spair_cap: int = DEFAULT_SPAIR_CAP,
+) -> GroebnerBasis:
+    """Reference Buchberger loop: the reduced Groebner basis with exact
+    cofactor rows, each pair's lcm recomputed wherever it is read and each
+    S-pair row formed entry by entry, zero entries included."""
+    generators = tuple(generators)
+    for index, g in enumerate(generators):
+        if g.is_zero:
+            raise PreconditionError(f"generator {index} is the zero polynomial")
+    if not generators:
+        return GroebnerBasis(order, (), (), ())
+    dim = generators[0].dim
+    for g in generators:
+        if g.dim != dim:
+            raise DimensionMismatchError("generators live in different rings")
+
+    count = len(generators)
+    basis: list[Polynomial] = []
+    rows: list[list[Polynomial]] = []
+    lms: list[ExponentVector] = []
+    pairs: set[tuple[int, int]] = set()
+
+    def add_element(poly: Polynomial, row: list[Polynomial]) -> None:
+        lead_exps, lead_coeff = poly.leading_term(order)
+        inv = 1 / lead_coeff
+        poly = poly.scale(inv)
+        row = [q.scale(inv) for q in row]
+        new_index = len(basis)
+        # Gebauer-Moeller update: prune pairs made redundant by the new lead
+        # monomial (chain criterion) and skip coprime pairs (product criterion).
+        survivors = set()
+        for i, j in pairs:
+            pair_lcm = _lcm(lms[i], lms[j])
+            if (
+                not divides(lead_exps, pair_lcm)
+                or pair_lcm == _lcm(lms[i], lead_exps)
+                or pair_lcm == _lcm(lms[j], lead_exps)
+            ):
+                survivors.add((i, j))
+        buckets: dict[ExponentVector, list[int]] = {}
+        for i in range(new_index):
+            buckets.setdefault(_lcm(lms[i], lead_exps), []).append(i)
+        kept_lcms: list[ExponentVector] = []
+        for candidate in sorted(buckets, key=order.key):
+            if not any(divides(kept, candidate) for kept in kept_lcms):
+                kept_lcms.append(candidate)
+        for candidate in kept_lcms:
+            bucket = buckets[candidate]
+            if any(_lcm(lms[i], lead_exps) == vector_sum(lms[i], lead_exps) for i in bucket):
+                continue
+            survivors.add((min(bucket), new_index))
+        pairs.clear()
+        pairs.update(survivors)
+        basis.append(poly)
+        rows.append(row)
+        lms.append(lead_exps)
+        if len(pairs) > spair_cap:
+            raise InstanceTooLargeError(
+                f"S-pair queue reached {len(pairs)}, cap is {spair_cap}"
+            )
+
+    for k, g in enumerate(generators):
+        row = [Polynomial.zero(dim) for _ in range(count)]
+        row[k] = Polynomial.one(dim)
+        add_element(g, row)
+
+    processed = 0
+    while pairs:
+        i, j = min(pairs, key=lambda p: (order.key(_lcm(lms[p[0]], lms[p[1]])), p))
+        pairs.remove((i, j))
+        processed += 1
+        if processed > spair_cap:
+            raise InstanceTooLargeError(f"processed {processed} S-pairs, cap is {spair_cap}")
+        pair_lcm = _lcm(lms[i], lms[j])
+        shift_i = tuple(a - b for a, b in zip(pair_lcm, lms[i]))
+        shift_j = tuple(a - b for a, b in zip(pair_lcm, lms[j]))
+        spoly = basis[i].mul_term(shift_i, 1) - basis[j].mul_term(shift_j, 1)
+        srow = [
+            rows[i][k].mul_term(shift_i, 1) - rows[j][k].mul_term(shift_j, 1)
+            for k in range(count)
+        ]
+        remainder, quotients = normal_form(spoly, basis, order)
+        if remainder.is_zero:
+            continue
+        for m, quotient in enumerate(quotients):
+            if not quotient.is_zero:
+                for k in range(count):
+                    srow[k] = srow[k] - quotient * rows[m][k]
+        add_element(remainder, srow)
+
+    # Minimal basis: drop elements whose lead is divisible by another lead.
+    keep_order = sorted(range(len(basis)), key=lambda idx: order.key(lms[idx]))
+    kept: list[int] = []
+    for idx in keep_order:
+        if not any(divides(lms[other], lms[idx]) for other in kept):
+            kept.append(idx)
+
+    # Tail-reduce each survivor against the others; leads are untouched, so
+    # one pass against the pre-reduction versions yields the reduced basis.
+    minimal = [basis[idx] for idx in kept]
+    minimal_rows = [rows[idx] for idx in kept]
+    reduced: list[Polynomial] = []
+    reduced_rows: list[tuple[Polynomial, ...]] = []
+    for pos, poly in enumerate(minimal):
+        others = minimal[:pos] + minimal[pos + 1 :]
+        other_rows = minimal_rows[:pos] + minimal_rows[pos + 1 :]
+        remainder, quotients = normal_form(poly, others, order)
+        row = list(minimal_rows[pos])
+        for quotient, other_row in zip(quotients, other_rows):
+            if not quotient.is_zero:
+                for k in range(count):
+                    row[k] = row[k] - quotient * other_row[k]
+        reduced.append(remainder)
+        reduced_rows.append(tuple(row))
+
+    presentation = sorted(
+        range(len(reduced)),
+        key=lambda idx: order.key(reduced[idx].leading_term(order)[0]),
+        reverse=True,
+    )
+    return GroebnerBasis(
+        order,
+        generators,
+        tuple(reduced[idx] for idx in presentation),
+        tuple(reduced_rows[idx] for idx in presentation),
+    )
+
+
+def cofactor_determinant(matrix: list[list[Polynomial]]) -> Polynomial:
+    """Determinant by first-row expansion; quadratic blowup, small inputs only."""
+    n = len(matrix)
+    dim = matrix[0][0].dim
+    if n == 1:
+        return matrix[0][0]
+    total = Polynomial.zero(dim)
+    for j in range(n):
+        entry = matrix[0][j]
+        if entry.is_zero:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
+        term = entry * cofactor_determinant(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
 
 
 def sheared_general_pair(

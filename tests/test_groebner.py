@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from functools import reduce
+from itertools import combinations_with_replacement, product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from closure_lab.config import DEFAULT_SPAIR_CAP
 from closure_lab.errors import InstanceTooLargeError, PreconditionError
 from closure_lab.groebner import (
     PolyIdeal,
     buchberger,
-    poly_ideal_equal,
     poly_ideal_member,
     poly_ideal_power,
     poly_ideal_product,
@@ -21,7 +25,12 @@ from closure_lab.lab import random_monomial_ideal
 from closure_lab.monomials import contains_monomial
 from closure_lab.parsing import parse_polynomial
 from closure_lab.polynomials import GREVLEX, LEX, Polynomial
-from helpers import random_nonzero_polynomial
+from helpers import (
+    poly_ideal_equal,
+    random_nonzero_polynomial,
+    reference_buchberger,
+    sheared_general_pair,
+)
 
 
 def P(text, variables=("x", "y")):
@@ -165,3 +174,83 @@ def test_equal_ideals_share_one_basis():
     assert a is not b
     assert a.groebner(GREVLEX) is b.groebner(GREVLEX)
     assert a == b and hash(a) == hash(b)
+
+
+def _buchberger_outcome(build, gens, order, spair_cap=DEFAULT_SPAIR_CAP):
+    """The basis and cofactor rows, or the message of the cap that was hit."""
+    try:
+        gb = build(gens, order, spair_cap)
+    except InstanceTooLargeError as error:
+        return str(error)
+    return gb.basis, gb.cofactors
+
+
+@st.composite
+def generator_lists(draw):
+    dim = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * dim)
+    coeffs = st.sampled_from((-2, -1, Fraction(-1, 2), Fraction(1, 3), 1, 2, 3))
+    poly = st.dictionaries(exps, coeffs, min_size=1, max_size=3).map(
+        lambda terms: Polynomial(dim, terms)
+    )
+    return draw(st.lists(poly, min_size=1, max_size=4))
+
+
+@given(generator_lists(), st.sampled_from((GREVLEX, LEX)), st.integers(1, 30))
+@settings(deadline=None)
+def test_buchberger_matches_the_reference_loop(gens, order, spair_cap):
+    # A small S-pair cap bounds the few lex inputs whose coefficients swell,
+    # and the cap message pins the queue length or the pairs processed.
+    assert _buchberger_outcome(buchberger, gens, order, spair_cap) == _buchberger_outcome(
+        reference_buchberger, gens, order, spair_cap
+    )
+
+
+def test_buchberger_matches_the_reference_loop_on_reduction_products():
+    # The generator lists of J * I^k that reduction_number hands to buchberger;
+    # the small caps stop both loops part way, where the queue lengths differ
+    # if either loop keeps a pair the other prunes.
+    for seed in range(25):
+        rng = random.Random(seed)
+        j_ideal, i_ideal = sheared_general_pair(
+            rng, extras=rng.randint(1, 2), repeat=seed % 2 == 0
+        )
+        power = unit_poly_ideal(i_ideal.dim)
+        for k in range(3):
+            if k:
+                power = poly_ideal_product(i_ideal, power)
+            gens = poly_ideal_product(j_ideal, power).gens
+            for order, spair_cap in product((GREVLEX, LEX), (1, 6, DEFAULT_SPAIR_CAP)):
+                assert _buchberger_outcome(
+                    buchberger, gens, order, spair_cap
+                ) == _buchberger_outcome(
+                    reference_buchberger, gens, order, spair_cap
+                ), (seed, k, order, spair_cap)
+
+
+def test_power_is_repeated_product():
+    ideals = [
+        PolyIdeal(2, ()),
+        PolyIdeal(2, (P("x"), P("x"))),
+        PolyIdeal(2, (P("x"), P("y"), P("x*y"))),
+    ]
+    for seed in range(10):
+        ideals.extend(sheared_general_pair(random.Random(seed), extras=2, repeat=seed % 2 == 0))
+    for ideal in ideals:
+        repeated = unit_poly_ideal(ideal.dim)
+        for n in range(5):
+            power = poly_ideal_power(ideal, n)
+            assert power.gens == repeated.gens, (ideal, n)
+            if 1 <= n <= 3:
+                # the distinct n-fold products, in first-occurrence order
+                combos = combinations_with_replacement(ideal.gens, n)
+                products = dict.fromkeys(reduce(mul, combo) for combo in combos)
+                assert power.gens == tuple(products), (ideal, n)
+            repeated = poly_ideal_product(ideal, repeated)
+
+
+def test_power_cap_counts_distinct_generators():
+    doubled = PolyIdeal(1, (P("x", ("x",)), P("x", ("x",))))
+    assert poly_ideal_power(doubled, 3, generator_cap=2).gens == (P("x^3", ("x",)),)
+    with pytest.raises(InstanceTooLargeError):
+        poly_ideal_power(PolyIdeal(2, (P("x"), P("y"))), 2, generator_cap=2)

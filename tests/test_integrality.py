@@ -17,7 +17,6 @@ from closure_lab.integrality import (
     ReductionWitness,
     TriState,
     bareiss_determinant,
-    cofactor_determinant,
     cramer_certificate,
     is_integral_element,
     is_integral_ideal,
@@ -31,6 +30,7 @@ from closure_lab.newton import closure
 from closure_lab.parsing import parse_polynomial
 from closure_lab.polynomials import Polynomial
 from helpers import (
+    cofactor_determinant,
     equality_reduction_number,
     mono,
     random_nonzero_polynomial,
@@ -143,6 +143,8 @@ def test_is_integral_ideal_general_path():
     hard = PolyIdeal(2, (P("x"),))
     verdict = is_integral_ideal(j_poly, hard, 3)
     assert verdict == unknown(3)
+    # a unit J without a constant generator: step k = 0 of the search
+    assert is_integral_ideal(PolyIdeal(2, (P("x"), P("1 - x"))), hard, 3) == YES
 
 
 def test_is_integral_ideal_general_zero_base():
@@ -307,6 +309,10 @@ def test_cramer_certificate_checks_preconditions():
         cramer_certificate(P("x"), j_poly, i_poly, 1)  # x not in I
     with pytest.raises(PreconditionError):
         cramer_certificate(P("x*y"), j_poly, i_poly, 0)  # k=0 is not a reduction
+    # x^2*y^2 * I lies in I^2 = J * I, but x^2*y^2 is not in I
+    ratliff_rush = to_poly_ideal(mono(2, (4, 0), (3, 1), (1, 3), (0, 4)))
+    with pytest.raises(PreconditionError):
+        cramer_certificate(P("x^2*y^2"), ratliff_rush, ratliff_rush, 1)
 
 
 def test_cramer_certificate_general_coefficients():
@@ -379,6 +385,14 @@ def test_certificate_verify_rejects_damage():
         (MembershipProof(2, (), ()), cert.proofs[1]),
     )
     assert not wrong_power.verify(J22)
+    # a last proof generator outside J^2, with a zero quotient
+    final = cert.proofs[1]
+    outsider = MembershipProof(2, final.generators + (P("x"),), final.quotients + (P("0"),))
+    stray = IntegralityCertificate(
+        cert.element, cert.degree, cert.coefficients, (cert.proofs[0], outsider)
+    )
+    assert not stray.verify(J22)
+    assert not stray.verify(to_poly_ideal(J22))
 
 
 def test_membership_proof_empty_sum_is_zero():
