@@ -47,7 +47,7 @@ from .monomials import (
     ideal_product,
     unit_ideal,
 )
-from .newton import closure_member_certificate
+from .newton import closure_member, closure_member_certificate
 from .polynomials import GREVLEX, Polynomial, TermOrder, exact_quotient
 
 Ideal = MonomialIdeal | PolyIdeal
@@ -276,7 +276,7 @@ def is_integral_ideal(
 ) -> TriState:
     """Is I contained in the integral closure of J?
 
-    Monomial pairs are decided exactly through the Newton polyhedron. General
+    Monomial pairs are decided exactly by the Newton polyhedron's facets. General
     pairs are semi-decided: a reduction witness for (J, J + I) answers yes,
     and cap exhaustion answers unknown. The general path answers no only for
     a zero J and a nonzero I, since the closure of (0) in a domain is (0).
@@ -284,15 +284,9 @@ def is_integral_ideal(
     if j_ideal.dim != i_ideal.dim:
         raise DimensionMismatchError("ideals live in different rings")
     if isinstance(j_ideal, MonomialIdeal) and isinstance(i_ideal, MonomialIdeal):
-        if j_ideal.is_unit:
-            return YES
         if j_ideal.is_zero:
             return YES if i_ideal.is_zero else NO
-        for g in i_ideal.gens:
-            member, _ = closure_member_certificate(j_ideal, g)
-            if not member:
-                return NO
-        return YES
+        return YES if all(closure_member(j_ideal, g) for g in i_ideal.gens) else NO
     j_poly = to_poly_ideal(j_ideal)
     i_poly = to_poly_ideal(i_ideal)
     if j_poly.is_zero:

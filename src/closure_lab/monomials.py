@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import Iterable
 
 from .config import DEFAULT_GENERATOR_CAP
@@ -48,7 +49,7 @@ def divides(g: ExponentVector, m: ExponentVector) -> bool:
 
 
 def vector_sum(a: ExponentVector, b: ExponentVector) -> ExponentVector:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _trie_insert(trie: dict, v: ExponentVector) -> None:

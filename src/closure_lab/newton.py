@@ -15,9 +15,9 @@ prefixes (first d - 1 coordinates) it visits; over each prefix the least
 last coordinate inside the polyhedron is a maximum of integer ceilings, and
 every minimal generator is such a fibre minimum.
 
-Point queries (:meth:`NewtonPolyhedron.member`) run the exact LP of
-:mod:`closure_lab.simplex`, which also yields the convex weights that
-certify a member. No value keeps state between calls.
+The same facets decide every membership question; the exact LP of
+:mod:`closure_lab.simplex` runs only for a point known to be inside, to give
+the convex weights that certify it. No value keeps state between calls.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Sequence
 
 from . import simplex
 from .config import DEFAULT_BOX_POINT_CAP
-from .errors import DimensionMismatchError, InstanceTooLargeError, PreconditionError
+from .errors import InstanceTooLargeError, InvariantViolationError, PreconditionError
 from .monomials import (
     ExponentVector,
     MonomialIdeal,
@@ -81,17 +81,19 @@ class NewtonPolyhedron:
         object.__setattr__(self, "vertices", vecs)
 
     def member(self, point: ExponentVector) -> tuple[bool, RationalCertificate | None]:
-        """Exact membership of a lattice point, with weights on success."""
+        """Exact membership of a lattice point, decided by the facets, with weights."""
         point = as_exponent_vector(point, self.dim)
+        if not _satisfies_facets(_facets(self.dim, self.vertices), point):
+            return False, None
         for index, vertex in enumerate(self.vertices):
             if divides(vertex, point):
                 lams = [Fraction(0)] * len(self.vertices)
                 lams[index] = Fraction(1)
                 return True, RationalCertificate(tuple(lams))
         outcome = simplex.dominating_combination(self.vertices, point)
-        if isinstance(outcome, simplex.Feasible):
-            return True, RationalCertificate(outcome.lambdas)
-        return False, None
+        if not isinstance(outcome, simplex.Feasible):
+            raise InvariantViolationError(f"facets admit {point}, the LP does not")
+        return True, RationalCertificate(outcome.lambdas)
 
 
 def polyhedron_of(ideal: MonomialIdeal) -> NewtonPolyhedron:
@@ -101,8 +103,9 @@ def polyhedron_of(ideal: MonomialIdeal) -> NewtonPolyhedron:
     return NewtonPolyhedron(ideal.dim, ideal.gens)
 
 
+@lru_cache(maxsize=64)
 def _facets(
-    dim: int, vertices: Sequence[ExponentVector]
+    dim: int, vertices: tuple[ExponentVector, ...]
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Integer facet inequalities ``w . x >= b`` (with ``w >= 0``) of the polyhedron.
 
@@ -113,7 +116,9 @@ def _facets(
     joining a ray on the positive side with one on the negative side when
     no third ray is tight on every row both are tight on. Rays are divided
     by the gcd of their entries; the ray (0, ..., 0, 1), the trivial
-    inequality 0 >= -1, is dropped.
+    inequality 0 >= -1, is dropped. A point lies in the polyhedron exactly
+    when it satisfies every pair. The cache is small because the reuse is a
+    closure followed by verdicts on the same ideal.
     """
     # Each ray carries the bitmask of the rows it is tight on: bit j for the
     # row w_j >= 0, bit dim + i for the row of vertex i. Each ray of the
@@ -154,6 +159,11 @@ def _facets(
     return tuple(sorted((ray[:dim], -ray[dim]) for ray, _ in rays if any(ray[:dim])))
 
 
+def _satisfies_facets(facets: Sequence[tuple], point: Sequence[int]) -> bool:
+    """``w . point >= b`` for every facet (w, b)."""
+    return all(sum(w * c for w, c in zip(ws, point)) >= b for ws, b in facets)
+
+
 @lru_cache(maxsize=1024)
 def closure(
     ideal: MonomialIdeal, box_point_cap: int = DEFAULT_BOX_POINT_CAP
@@ -186,10 +196,7 @@ def closure(
             walls.append((weights[:-1], threshold))
     points = []
     for prefix in product(*(range(b + 1) for b in bounds[:-1])):
-        if any(
-            sum(w * a for w, a in zip(weights, prefix)) < threshold
-            for weights, threshold in walls
-        ):
+        if not _satisfies_facets(walls, prefix):
             continue
         # ceil((threshold - weights . prefix) / last), by floor division
         least = max(
@@ -203,19 +210,16 @@ def closure(
 
 
 def closure_member(ideal: MonomialIdeal, m: ExponentVector) -> bool:
-    """Membership of x^m in the integral closure of a nonzero monomial ideal."""
-    member, _ = closure_member_certificate(ideal, m)
-    return member
+    """Membership of x^m in the integral closure of a nonzero monomial ideal,
+    read off the facets of its Newton polyhedron; no LP runs."""
+    if ideal.is_zero:
+        raise PreconditionError("closure membership needs a nonzero ideal")
+    point = as_exponent_vector(m, ideal.dim)
+    return _satisfies_facets(_facets(ideal.dim, ideal.gens), point)
 
 
 def closure_member_certificate(
     ideal: MonomialIdeal, m: ExponentVector
 ) -> tuple[bool, RationalCertificate | None]:
     """Like :func:`closure_member` but also returns the convex weights."""
-    if ideal.is_zero:
-        raise PreconditionError("closure membership needs a nonzero ideal")
-    if len(m) != ideal.dim:
-        raise DimensionMismatchError(
-            f"monomial has {len(m)} exponents, ideal lives in {ideal.dim} variables"
-        )
     return polyhedron_of(ideal).member(m)

@@ -7,9 +7,10 @@ V^T lambda <= a, lambda >= 0" and solved with a dense tableau simplex over
 ``fractions.Fraction`` using Bland's pivoting rule, which excludes cycling.
 
 Feasibility holds iff the maximum reaches 1. On success the scaled optimal
-weights are returned; on failure the dual solution yields a separating
-functional w >= 0 with w . v_i >= 1 for every vertex but w . a < 1, a
-certificate that the point lies outside the polyhedron.
+weights are returned; on failure the dual gives a separating functional
+w >= 0 with w . v_i >= 1 for every vertex but w . a < 1. The library decides
+membership from facets (:mod:`closure_lab.newton`) and calls this solver
+only for the weights of a point already known to be inside.
 """
 
 from __future__ import annotations

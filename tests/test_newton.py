@@ -9,12 +9,15 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from closure_lab import simplex
 from closure_lab.errors import (
     DimensionMismatchError,
     InstanceTooLargeError,
     PreconditionError,
 )
+from closure_lab.integrality import NO, YES, is_integral_element, is_integral_ideal
 from closure_lab.monomials import (
+    MonomialIdeal,
     ideal_contains,
     ideal_power,
     ideal_sum,
@@ -30,6 +33,7 @@ from closure_lab.newton import (
     closure_member,
     polyhedron_of,
 )
+from closure_lab.polynomials import Polynomial
 from helpers import box_scan_closure, mono, scaling_closure_member
 
 
@@ -75,6 +79,22 @@ def test_membership_invariant_under_dominated_vertices():
     fat = NewtonPolyhedron(2, [(2, 0), (0, 2), (3, 1)])
     for point in [(i, j) for i in range(4) for j in range(4)]:
         assert lean.member(point)[0] == fat.member(point)[0]
+    # Three variables with dominated and repeated vertices: double description
+    # then runs over redundant rows, and the LP is the independent oracle.
+    rng = random.Random(9)
+    for _ in range(30):
+        ideal = random_monomial_ideal(rng, 3, max_gens=4, max_exp=4)
+        vertices = list(ideal.gens) + [rng.choice(ideal.gens)]
+        vertices += [
+            tuple(c + rng.randint(0, 2) for c in rng.choice(ideal.gens)) for _ in range(3)
+        ]
+        fat = NewtonPolyhedron(3, vertices)
+        assert _facets(3, fat.vertices) == _facets(3, ideal.gens)
+        for _ in range(20):
+            point = tuple(rng.randint(0, 5) for _ in range(3))
+            feasible = simplex.dominating_combination(fat.vertices, point)
+            expected = isinstance(feasible, simplex.Feasible)
+            assert fat.member(point)[0] == polyhedron_of(ideal).member(point)[0] == expected
 
 
 def test_closure_worked_examples():
@@ -235,12 +255,13 @@ def assert_facets_describe_the_polyhedron(ideal, rng):
             if weights[j] == 0
         ]
         assert rank(tight) == ideal.dim
-    polyhedron = polyhedron_of(ideal)
+    # the LP is the independent oracle: member itself reads the facets
     bounds = [max(g[j] for g in ideal.gens) + 1 for j in range(ideal.dim)]
     for _ in range(10):
         point = tuple(rng.randint(0, b) for b in bounds)
         inside = all(dot(weights, point) >= threshold for weights, threshold in facets)
-        assert inside == polyhedron.member(point)[0]
+        feasible = simplex.dominating_combination(ideal.gens, point)
+        assert inside == isinstance(feasible, simplex.Feasible)
 
 
 @given(ideals_any, st.randoms(use_true_random=False))
@@ -258,6 +279,48 @@ def test_facets_describe_the_polyhedron_on_seeded_sample():
         if rng.random() < 0.3:
             ideal = ideal_power(ideal, 2)
         assert_facets_describe_the_polyhedron(ideal, rng)
+
+
+def test_no_verdict_runs_the_lp(monkeypatch):
+    def refuse(vertices, point):
+        raise AssertionError("a membership verdict ran the LP")
+
+    monkeypatch.setattr(simplex, "dominating_combination", refuse)
+    rng = random.Random(17)
+    outside = 0
+    for _ in range(60):
+        dim = rng.choice((2, 3))
+        ideal = random_monomial_ideal(rng, dim, max_gens=4, max_exp=5)
+        bounds = [max(g[j] for g in ideal.gens) for j in range(dim)]
+        for _ in range(10):
+            point = tuple(rng.randint(0, b) for b in bounds)
+            verdict = YES if closure_member(ideal, point) else NO
+            assert is_integral_ideal(ideal, MonomialIdeal(dim, [point])) == verdict
+            assert is_integral_element(Polynomial.monomial(dim, point), ideal) == verdict
+            if verdict == NO:
+                outside += 1
+                assert polyhedron_of(ideal).member(point) == (False, None)
+    assert outside >= 100
+
+
+def test_closures_check_themselves_on_seeded_sample():
+    # every generator carries re-checkable weights, and lowering any of its
+    # exponents breaks an integer inequality that holds at every vertex
+    rng = random.Random(23)
+    for _ in range(60):
+        ideal = random_monomial_ideal(rng, rng.choice((2, 3)), max_gens=4, max_exp=5)
+        polyhedron = polyhedron_of(ideal)
+        facets = _facets(ideal.dim, ideal.gens)
+        for g in closure(ideal).gens:
+            member, cert = polyhedron.member(g)
+            assert member and cert.satisfies(polyhedron.vertices, g)
+            for j in range(ideal.dim):
+                if g[j]:
+                    lower = g[:j] + (g[j] - 1,) + g[j + 1 :]
+                    weights, threshold = next(
+                        (w, b) for w, b in facets if dot(w, lower) < b
+                    )
+                    assert all(dot(weights, v) >= threshold for v in ideal.gens)
 
 
 @given(ideals_any, st.integers(1, 3))
@@ -293,8 +356,10 @@ def test_shared_inputs_give_sequential_answers_across_threads():
         return closures, members
 
     closure.cache_clear()
+    _facets.cache_clear()
     expected = answers()
     closure.cache_clear()
+    _facets.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
