@@ -17,6 +17,7 @@ from .groebner import (
     Membership,
     PolyIdeal,
     buchberger,
+    in_poly_ideal,
     poly_ideal_member,
     poly_ideal_power,
     poly_ideal_product,

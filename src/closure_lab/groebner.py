@@ -1,10 +1,10 @@
-"""Buchberger's algorithm with cofactor tracking, and general-ideal operations.
+"""Buchberger's algorithm with lazy cofactor rows, and general-ideal operations.
 
-Every Groebner basis element carries a cofactor row expressing it as an
-exact combination of the original generators; membership tests compose
-division quotients through those rows, so callers get explicit lifts
-``f = sum(q_k * gen_k)`` suitable for certificate construction. One
-helper forms every such combination of rows.
+A Groebner basis records how each element was formed and replays that
+record into cofactor rows over the original generators when a lift first
+reads them; lifts ``f = sum(q_k * gen_k)`` compose division quotients
+through those rows, for certificate construction. A membership verdict
+needs only a remainder. One helper forms every combination of rows.
 
 Pair bookkeeping uses the Gebauer-Moeller update, which implements the
 product and chain criteria for skipping predictably useless S-pairs; each
@@ -16,8 +16,8 @@ generators, in the same order, of the A * A^(n-1) that callers build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .config import DEFAULT_GENERATOR_CAP, DEFAULT_SPAIR_CAP
@@ -27,6 +27,7 @@ from .polynomials import GREVLEX, Polynomial, TermOrder, normal_form
 
 
 Row = tuple[Polynomial, ...]
+Step = tuple[tuple[Polynomial, int], ...]
 
 
 def _lcm(a: ExponentVector, b: ExponentVector) -> ExponentVector:
@@ -35,12 +36,25 @@ def _lcm(a: ExponentVector, b: ExponentVector) -> ExponentVector:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis plus the cofactor matrix over the inputs."""
+    """A reduced Groebner basis plus the cofactor matrix over the inputs,
+    replayed on first read from ``_steps``: one row sum(c * rows[source]) per
+    element formed, then per basis element, after the generators' unit rows."""
 
     order: TermOrder
     generators: tuple[Polynomial, ...]
     basis: tuple[Polynomial, ...]
-    cofactors: tuple[tuple[Polynomial, ...], ...]
+    _steps: tuple[Step, ...] = field(repr=False)
+
+    @cached_property
+    def cofactors(self) -> tuple[Row, ...]:
+        if not self.generators:
+            return ()
+        count, dim = len(self.generators), self.generators[0].dim
+        zero, one = Polynomial.zero(dim), Polynomial.one(dim)
+        rows = [tuple(one if m == k else zero for m in range(count)) for k in range(count)]
+        for step in self._steps:
+            rows.append(_combine(dim, count, [(c, rows[source]) for c, source in step]))
+        return tuple(rows[len(rows) - len(self.basis) :])
 
     def verify_cofactors(self) -> bool:
         """Exactly re-evaluate every basis element from its cofactor row."""
@@ -71,7 +85,7 @@ def buchberger(
     order: TermOrder = GREVLEX,
     spair_cap: int = DEFAULT_SPAIR_CAP,
 ) -> GroebnerBasis:
-    """Compute the reduced Groebner basis with exact cofactor rows."""
+    """Compute the reduced Groebner basis, recording the steps of its rows."""
     generators = tuple(generators)
     for index, g in enumerate(generators):
         if g.is_zero:
@@ -85,13 +99,13 @@ def buchberger(
 
     count = len(generators)
     basis: list[Polynomial] = []
-    rows: list[Row] = []
+    steps: list[Step] = []
     lms: list[ExponentVector] = []
     # Each pending S-pair (i, j), i < j, maps to lcm(lms[i], lms[j]).
     pairs: dict[tuple[int, int], ExponentVector] = {}
 
-    def add_element(poly: Polynomial, combination: list[tuple[Polynomial, Row]]) -> None:
-        """Append poly made monic, with the row sum(c * row) scaled alike."""
+    def add_element(poly: Polynomial, combination: list[tuple[Polynomial, int]]) -> None:
+        """Append poly made monic, with its step's coefficients scaled alike."""
         lead_exps, lead_coeff = poly.leading_term(order)
         inv = 1 / lead_coeff
         new_index = len(basis)
@@ -120,17 +134,16 @@ def buchberger(
         pairs.clear()
         pairs.update(survivors)
         basis.append(poly.scale(inv))
-        scaled = [(c.scale(inv), row) for c, row in combination if not c.is_zero]
-        rows.append(_combine(dim, count, scaled))
+        steps.append(tuple((c.scale(inv), source) for c, source in combination))
         lms.append(lead_exps)
         if len(pairs) > spair_cap:
             raise InstanceTooLargeError(
                 f"S-pair queue reached {len(pairs)}, cap is {spair_cap}"
             )
 
-    zero, one = Polynomial.zero(dim), Polynomial.one(dim)
+    one = Polynomial.one(dim)
     for k, g in enumerate(generators):
-        add_element(g, [(one, tuple(one if m == k else zero for m in range(count)))])
+        add_element(g, [(one, k)])
 
     processed = 0
     while pairs:
@@ -145,8 +158,8 @@ def buchberger(
         remainder, quotients = normal_form(spoly, basis, order)
         if remainder.is_zero:
             continue
-        combination = [(shift_i, rows[i]), (shift_j, rows[j])]
-        combination += [(-q, row) for q, row in zip(quotients, rows)]
+        combination = [(shift_i, count + i), (shift_j, count + j)]
+        combination += [(-q, count + m) for m, q in enumerate(quotients) if not q.is_zero]
         add_element(remainder, combination)
 
     # Minimal basis: drop elements whose lead is divisible by another lead.
@@ -159,18 +172,18 @@ def buchberger(
     # Tail-reduce each survivor against the others; leads are untouched, so
     # one pass against the pre-reduction versions yields the reduced basis.
     reduced: list[Polynomial] = []
-    reduced_rows: list[Row] = []
+    tails: list[Step] = []
     for idx in kept:
         others = [other for other in kept if other != idx]
         remainder, quotients = normal_form(basis[idx], [basis[o] for o in others], order)
-        combination = [(one, rows[idx])]
-        combination += [(-q, rows[o]) for q, o in zip(quotients, others)]
+        combination = [(one, count + idx)]
+        combination += [(-q, count + o) for q, o in zip(quotients, others) if not q.is_zero]
         reduced.append(remainder)
-        reduced_rows.append(_combine(dim, count, combination))
+        tails.append(tuple(combination))
 
     # Presented in descending lead order.
     return GroebnerBasis(
-        order, generators, tuple(reversed(reduced)), tuple(reversed(reduced_rows))
+        order, generators, tuple(reversed(reduced)), tuple(steps) + tuple(reversed(tails))
     )
 
 
@@ -246,14 +259,31 @@ def poly_ideal_member(
     if f.dim != ideal.dim:
         raise DimensionMismatchError("element dimension differs from ideal")
     gb = ideal.groebner(order, spair_cap)
-    if not gb.basis:
-        if f.is_zero:
-            return Membership(True, ())
-        return Membership(False, None)
     remainder, quotients = normal_form(f, gb.basis, order)
     if not remainder.is_zero:
         return Membership(False, None)
     return Membership(True, _combine(ideal.dim, len(ideal.gens), zip(quotients, gb.cofactors)))
+
+
+def in_poly_ideal(
+    f: Polynomial, ideal: PolyIdeal, order: TermOrder = GREVLEX, spair_cap: int = DEFAULT_SPAIR_CAP
+) -> bool:
+    """Membership verdict via normal form, with no lift. For homogeneous f
+    and generators, the degree-deg(f) part of f = sum(q_i * g_i) involves
+    only generators of degree <= deg(f), so the basis uses those alone."""
+    if f.dim != ideal.dim:
+        raise DimensionMismatchError("element dimension differs from ideal")
+    if f.is_zero:
+        return True
+    gens = ideal.gens
+    degrees = [set(map(sum, p.terms)) for p in (f, *gens)]
+    if all(len(d) == 1 for d in degrees):
+        top = max(degrees[0])
+        gens = tuple(g for g, d in zip(gens, degrees[1:]) if max(d) <= top)
+        if not gens:
+            return False
+    basis = PolyIdeal(ideal.dim, gens).groebner(order, spair_cap).basis
+    return normal_form(f, basis, order)[0].is_zero
 
 
 def poly_ideal_sum(a: PolyIdeal, b: PolyIdeal) -> PolyIdeal:

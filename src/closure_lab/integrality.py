@@ -31,6 +31,7 @@ from .errors import (
 from .groebner import (
     Membership,
     PolyIdeal,
+    in_poly_ideal,
     poly_ideal_member,
     poly_ideal_power,
     poly_ideal_product,
@@ -203,7 +204,7 @@ def _all_in_ideal_power(gens: tuple[Polynomial, ...], ideal: Ideal, power: int) 
         poly_power = to_poly_ideal(power_ideal)
     else:
         poly_power = poly_ideal_power(ideal, power)
-    return all(poly_ideal_member(g, poly_power).member for g in gens)
+    return all(in_poly_ideal(g, poly_power) for g in gens)
 
 
 # -- reduction detection ------------------------------------------------------
@@ -224,8 +225,8 @@ def reduction_number(
     minimal-generator equality. For anything else, J in I gives
     J * I^k in I^(k+1), and writing I = J + E with E the generators of I not
     among J's gives I^(k+1) = J * I^k + E^(k+1); so the equality is the
-    containment of E^(k+1) in J * I^k, tested generator by generator against
-    one reduced Groebner basis of J * I^k per k.
+    containment of E^(k+1) in J * I^k, tested generator by generator by
+    ``in_poly_ideal``, which forms no cofactor rows.
     """
     if k_max < 1:
         raise PreconditionError(f"k_max must be positive, got {k_max}")
@@ -249,7 +250,7 @@ def reduction_number(
         # is_integral_ideal always asks about I = J + (...).
         if g in i_poly.gens:
             continue
-        if not poly_ideal_member(g, i_poly, order, spair_cap).member:
+        if not in_poly_ideal(g, i_poly, order, spair_cap):
             raise PreconditionError("J must be contained in I")
     extra = PolyIdeal(i_poly.dim, tuple(g for g in i_poly.gens if g not in j_poly.gens))
     current = extra_power = poly_ideal_power(i_poly, 0)  # I^0 = E^0 = (1)
@@ -258,10 +259,7 @@ def reduction_number(
             current = poly_ideal_product(i_poly, current, generator_cap)  # I^k
         product = poly_ideal_product(j_poly, current, generator_cap)
         extra_power = poly_ideal_product(extra, extra_power, generator_cap)
-        if all(
-            poly_ideal_member(e, product, order, spair_cap).member
-            for e in extra_power.gens
-        ):
+        if all(in_poly_ideal(e, product, order, spair_cap) for e in extra_power.gens):
             return ReductionWitness(k)
     return NotUpTo(k_max)
 
@@ -446,7 +444,7 @@ def cramer_certificate(
         raise PreconditionError("the element must be nonzero")
     # A generator of I needs no basis of I; certifying f over J asks about
     # I = J + (f).
-    if f not in i_poly.gens and not poly_ideal_member(f, i_poly, order, spair_cap).member:
+    if f not in i_poly.gens and not in_poly_ideal(f, i_poly, order, spair_cap):
         raise PreconditionError("the element must belong to I")
     dim = f.dim
 
@@ -454,7 +452,8 @@ def cramer_certificate(
     count = len(basis_ideal.gens)
     if count > DET_SIZE_CAP:
         raise InstanceTooLargeError(
-            f"certificate needs a {count}x{count} determinant, cap is {DET_SIZE_CAP}"
+            f"certificate needs a {count}x{count} determinant, cap is {DET_SIZE_CAP} "
+            "(fixed: no flag or config field sets it)"
         )
     pair_gens = [q * g for q in j_poly.gens for g in basis_ideal.gens]
     lift_ideal = PolyIdeal(dim, tuple(pair_gens))

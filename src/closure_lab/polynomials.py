@@ -71,10 +71,10 @@ class Polynomial:
 
     ``Polynomial(dim, terms)`` checks and normalizes ``terms``; arithmetic
     results come from the private ``_trusted`` constructor, which stores a
-    dict already known to be valid.
+    dict already known to be valid. Each caches its hash and last leading term.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "terms", "_lead", "_hash")
 
     def __init__(self, dim: int, terms: Mapping[ExponentVector, Fraction] | None = None):
         if dim < 1:
@@ -87,6 +87,7 @@ class Polynomial:
                 clean[exps] = coeff
         self.dim = dim
         self.terms = clean
+        self._lead = self._hash = None
 
     @classmethod
     def _trusted(cls, dim: int, terms: dict[ExponentVector, Fraction]) -> Polynomial:
@@ -96,6 +97,7 @@ class Polynomial:
         poly = object.__new__(cls)
         poly.dim = dim
         poly.terms = terms
+        poly._lead = poly._hash = None
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -132,10 +134,14 @@ class Polynomial:
         return len(self.terms) == 1
 
     def leading_term(self, order: TermOrder) -> tuple[ExponentVector, Fraction]:
-        if self.is_zero:
-            raise PreconditionError("the zero polynomial has no leading term")
-        exps = max(self.terms, key=order.key)
-        return exps, self.terms[exps]
+        # One read of the (order, exps, coeff) slot: no thread sees a mix.
+        cached = self._lead
+        if cached is None or cached[0] != order:
+            if self.is_zero:
+                raise PreconditionError("the zero polynomial has no leading term")
+            exps = max(self.terms, key=order.key)
+            cached = self._lead = (order, exps, self.terms[exps])
+        return cached[1:]
 
     def total_degree(self) -> int:
         if self.is_zero:
@@ -243,7 +249,10 @@ class Polynomial:
         return self.dim == other.dim and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.dim, frozenset(self.terms.items())))
+        cached = self._hash
+        if cached is None:
+            cached = self._hash = hash((self.dim, frozenset(self.terms.items())))
+        return cached
 
     def __repr__(self) -> str:
         if self.is_zero:

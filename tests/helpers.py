@@ -25,7 +25,6 @@ from closure_lab.errors import (
     PreconditionError,
 )
 from closure_lab.groebner import (
-    GroebnerBasis,
     PolyIdeal,
     poly_ideal_member,
     poly_ideal_power,
@@ -197,8 +196,8 @@ def reference_buchberger(
     generators: tuple[Polynomial, ...] | list[Polynomial],
     order: TermOrder = GREVLEX,
     spair_cap: int = DEFAULT_SPAIR_CAP,
-) -> GroebnerBasis:
-    """Reference Buchberger loop: the reduced Groebner basis with exact
+) -> tuple[tuple[Polynomial, ...], tuple[tuple[Polynomial, ...], ...]]:
+    """Reference Buchberger loop: the reduced Groebner basis and its exact
     cofactor rows, each pair's lcm recomputed wherever it is read and each
     S-pair row formed entry by entry, zero entries included."""
     generators = tuple(generators)
@@ -206,7 +205,7 @@ def reference_buchberger(
         if g.is_zero:
             raise PreconditionError(f"generator {index} is the zero polynomial")
     if not generators:
-        return GroebnerBasis(order, (), (), ())
+        return (), ()
     dim = generators[0].dim
     for g in generators:
         if g.dim != dim:
@@ -316,9 +315,7 @@ def reference_buchberger(
         key=lambda idx: order.key(reduced[idx].leading_term(order)[0]),
         reverse=True,
     )
-    return GroebnerBasis(
-        order,
-        generators,
+    return (
         tuple(reduced[idx] for idx in presentation),
         tuple(reduced_rows[idx] for idx in presentation),
     )

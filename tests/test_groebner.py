@@ -1,19 +1,23 @@
 from __future__ import annotations
 
 import random
+import threading
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement, product
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from closure_lab import groebner
 from closure_lab.config import DEFAULT_SPAIR_CAP
 from closure_lab.errors import InstanceTooLargeError, PreconditionError
 from closure_lab.groebner import (
     PolyIdeal,
     buchberger,
+    in_poly_ideal,
     poly_ideal_member,
     poly_ideal_power,
     poly_ideal_product,
@@ -25,6 +29,7 @@ from closure_lab.lab import random_monomial_ideal
 from closure_lab.monomials import contains_monomial
 from closure_lab.parsing import parse_polynomial
 from closure_lab.polynomials import GREVLEX, LEX, Polynomial
+from closure_lab.serialize import load_ideal
 from helpers import (
     poly_ideal_equal,
     random_nonzero_polynomial,
@@ -176,13 +181,17 @@ def test_equal_ideals_share_one_basis():
     assert a == b and hash(a) == hash(b)
 
 
+def _library_buchberger(gens, order, spair_cap):
+    gb = buchberger(gens, order, spair_cap)
+    return gb.basis, gb.cofactors
+
+
 def _buchberger_outcome(build, gens, order, spair_cap=DEFAULT_SPAIR_CAP):
     """The basis and cofactor rows, or the message of the cap that was hit."""
     try:
-        gb = build(gens, order, spair_cap)
+        return build(gens, order, spair_cap)
     except InstanceTooLargeError as error:
         return str(error)
-    return gb.basis, gb.cofactors
 
 
 @st.composite
@@ -201,9 +210,9 @@ def generator_lists(draw):
 def test_buchberger_matches_the_reference_loop(gens, order, spair_cap):
     # A small S-pair cap bounds the few lex inputs whose coefficients swell,
     # and the cap message pins the queue length or the pairs processed.
-    assert _buchberger_outcome(buchberger, gens, order, spair_cap) == _buchberger_outcome(
-        reference_buchberger, gens, order, spair_cap
-    )
+    assert _buchberger_outcome(
+        _library_buchberger, gens, order, spair_cap
+    ) == _buchberger_outcome(reference_buchberger, gens, order, spair_cap)
 
 
 def test_buchberger_matches_the_reference_loop_on_reduction_products():
@@ -222,10 +231,94 @@ def test_buchberger_matches_the_reference_loop_on_reduction_products():
             gens = poly_ideal_product(j_ideal, power).gens
             for order, spair_cap in product((GREVLEX, LEX), (1, 6, DEFAULT_SPAIR_CAP)):
                 assert _buchberger_outcome(
-                    buchberger, gens, order, spair_cap
+                    _library_buchberger, gens, order, spair_cap
                 ) == _buchberger_outcome(
                     reference_buchberger, gens, order, spair_cap
                 ), (seed, k, order, spair_cap)
+
+
+def test_threads_replay_one_shared_basis_alike():
+    j_ideal, i_ideal = sheared_general_pair(random.Random(3), extras=2)
+    gens = poly_ideal_product(j_ideal, i_ideal).gens
+    gb = buchberger(gens, GREVLEX)
+    assert "cofactors" not in vars(gb)
+    barrier = threading.Barrier(4)
+    seen = []
+
+    def read():
+        barrier.wait()
+        seen.append(gb.cofactors)
+
+    threads = [threading.Thread(target=read) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    expected = reference_buchberger(gens, GREVLEX)[1]
+    assert len(seen) == 4 and all(rows == expected for rows in seen)
+    assert gb.verify_cofactors()
+
+
+def _verdict_cases(seed):
+    """(f, ideal) pairs: sheared pairs give homogeneous ideals and elements
+    (non-homogeneous when I's generators absorb x_k * f_1), and random
+    polynomials give non-homogeneous ones."""
+    rng = random.Random(seed)
+    j_ideal, i_ideal = sheared_general_pair(rng, extras=rng.randint(1, 2), repeat=seed % 2 == 0)
+    dim = j_ideal.dim
+    ideal = poly_ideal_product(j_ideal, i_ideal)
+    elements = list(poly_ideal_power(i_ideal, 2).gens) + list(j_ideal.gens)
+    elements += [Polynomial.zero(dim), Polynomial.constant(dim, 3)]
+    elements.append(Polynomial.variable(dim, 0))  # below every generator's degree
+    yield from ((f, ideal) for f in elements)
+    gens = tuple(random_nonzero_polynomial(rng, dim, max_terms=3, max_exp=2) for _ in range(2))
+    ideal = PolyIdeal(dim, gens)
+    for _ in range(4):
+        f = random_nonzero_polynomial(rng, dim, max_terms=3, max_exp=3)
+        yield f, ideal
+        yield f * gens[0] + gens[1], ideal
+
+
+def test_verdict_matches_the_lift_membership():
+    verdicts = set()
+    for seed in range(20):
+        for f, ideal in _verdict_cases(seed):
+            for order in (GREVLEX, LEX):
+                verdict = in_poly_ideal(f, ideal, order)
+                assert verdict == poly_ideal_member(f, ideal, order).member, (seed, f, order)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_verdict_keeps_every_generator_of_a_non_homogeneous_ideal():
+    # x = (x - y^2) + y^2 needs both generators, each of degree 2 > deg(x).
+    ideal = PolyIdeal(2, (P("x - y^2"), P("y^2")))
+    for order in (GREVLEX, LEX):
+        assert in_poly_ideal(P("x"), ideal, order)
+        assert in_poly_ideal(P("x*y"), ideal, order)
+        assert not in_poly_ideal(P("y"), ideal, order)
+
+
+def test_verdict_below_every_generator_degree_builds_no_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("buchberger ran")
+
+    monkeypatch.setattr(groebner, "buchberger", refuse)
+    groebner._cached_buchberger.cache_clear()
+    ideal = PolyIdeal(2, (P("x^2 - 2*x*y"), P("y^3")))
+    assert not in_poly_ideal(P("x + y"), ideal)
+    assert not in_poly_ideal(Polynomial.constant(2, 5), ideal)
+    assert in_poly_ideal(Polynomial.zero(2), ideal)
+
+
+def test_lex_verdict_replays_no_rows():
+    # The lex basis of these three generators is small, but its cofactor
+    # rows hold tens of thousands of terms with coefficients of hundreds of
+    # digits; a verdict must not form them.
+    ideal = load_ideal(Path(__file__).resolve().parents[1] / "ideals" / "lex_rows.json").ideal
+    x = P("x", ("x", "y", "z"))
+    assert not in_poly_ideal(x, ideal, LEX)
+    assert "cofactors" not in vars(ideal.groebner(LEX))
 
 
 def test_power_is_repeated_product():

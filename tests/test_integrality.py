@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from closure_lab.errors import PreconditionError
+from closure_lab.errors import InstanceTooLargeError, PreconditionError
 from closure_lab.groebner import PolyIdeal, poly_ideal_sum, to_poly_ideal
 from closure_lab.integrality import (
+    DET_SIZE_CAP,
     NO,
     YES,
     IntegralityCertificate,
@@ -313,6 +314,18 @@ def test_cramer_certificate_checks_preconditions():
     ratliff_rush = to_poly_ideal(mono(2, (4, 0), (3, 1), (1, 3), (0, 4)))
     with pytest.raises(PreconditionError):
         cramer_certificate(P("x^2*y^2"), ratliff_rush, ratliff_rush, 1)
+
+
+def test_cramer_certificate_determinant_cap_says_it_is_fixed():
+    # (x, y, z)^9 has 55 generators, so the determinant would be 55 x 55.
+    xyz = ("x", "y", "z")
+    ideal = PolyIdeal(3, tuple(P(v, xyz) for v in xyz))
+    with pytest.raises(InstanceTooLargeError) as error:
+        cramer_certificate(P("x", xyz), ideal, ideal, 9)
+    assert str(error.value) == (
+        f"certificate needs a 55x55 determinant, cap is {DET_SIZE_CAP} "
+        "(fixed: no flag or config field sets it)"
+    )
 
 
 def test_cramer_certificate_general_coefficients():
