@@ -196,12 +196,10 @@ def _cmd_closure_member(args, config: Config) -> int:
 def _certify_element(poly, j_ideal, parsed, config, order) -> dict | None:
     if isinstance(j_ideal, MonomialIdeal) and poly.is_monomial():
         exps, coeff = next(iter(poly.terms.items()))
-        certificate = integrality.monomial_certificate(
-            exps, j_ideal, config.generator_cap
-        )
+        certificate = integrality.monomial_certificate(exps, j_ideal)
         if coeff != 1:
             certificate = certificate.scale_root(coeff)
-        return serialize.certificate_payload(certificate, parsed.variables)
+        return serialize.certificate_payload(certificate, j_ideal, parsed.variables)
     j_poly = to_poly_ideal(j_ideal)
     extended = poly_ideal_sum(j_poly, PolyIdeal(j_poly.dim, (poly,)))
     witness = integrality.reduction_number(
@@ -212,7 +210,7 @@ def _certify_element(poly, j_ideal, parsed, config, order) -> dict | None:
     certificate = integrality.cramer_certificate(
         poly, j_poly, extended, witness.k, order, config.generator_cap, config.spair_cap
     )
-    return serialize.certificate_payload(certificate, parsed.variables)
+    return serialize.certificate_payload(certificate, j_ideal, parsed.variables)
 
 
 def _cmd_is_integral(args, config: Config) -> int:

@@ -13,13 +13,18 @@ extracts two kinds of explicit certificates:
   by the element to a matrix over J acting on the generators of I^k, and
   expand det(t * Id - matrix), which vanishes at the element because the
   ambient polynomial ring is a domain.
+
+Each proof that a_i lies in J^i cites the generators of J^i it uses as
+multisets of indices into J's generators, so a certificate is re-checked by
+multiplying the cited generators out; neither building nor checking one
+forms a power of J or a Groebner basis of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .config import DEFAULT_GENERATOR_CAP, DEFAULT_K_MAX, DEFAULT_SPAIR_CAP
 from .errors import (
@@ -29,7 +34,6 @@ from .errors import (
     PreconditionError,
 )
 from .groebner import (
-    Membership,
     PolyIdeal,
     in_poly_ideal,
     poly_ideal_member,
@@ -41,14 +45,11 @@ from .groebner import (
 from .monomials import (
     ExponentVector,
     MonomialIdeal,
-    contains_monomial,
-    divides,
     ideal_contains,
-    ideal_power,
     ideal_product,
     unit_ideal,
 )
-from .newton import closure_member, closure_member_certificate
+from .newton import closure_member, polyhedron_of
 from .polynomials import GREVLEX, Polynomial, TermOrder, exact_quotient
 
 Ideal = MonomialIdeal | PolyIdeal
@@ -111,22 +112,38 @@ def unknown(k_max: int) -> TriState:
 
 @dataclass(frozen=True)
 class MembershipProof:
-    """Quotients expressing a coefficient as a combination of listed generators.
+    """A coefficient written as a combination of products of J's generators.
 
-    A zero coefficient is witnessed by the empty combination.
+    ``factors[g]`` is the multiset of indices into J's generators whose
+    product is ``generators[g]``, so every listed generator lies in J^power
+    by construction; ``quotients[g]`` is its multiplier. A zero coefficient
+    is witnessed by the empty combination.
     """
 
     power: int
     generators: tuple[Polynomial, ...]
     quotients: tuple[Polynomial, ...]
+    factors: tuple[tuple[int, ...], ...] = ()
 
-    def evaluates_to(self, target: Polynomial) -> bool:
-        if len(self.generators) != len(self.quotients):
-            return False
-        total = Polynomial.zero(target.dim)
+    def value(self, dim: int) -> Polynomial:
+        """sum(quotient * generator) in the ring of ``dim`` variables."""
+        total = Polynomial.zero(dim)
         for quotient, generator in zip(self.quotients, self.generators):
             total += quotient * generator
-        return total == target
+        return total
+
+    def evaluates_to(self, target: Polynomial) -> bool:
+        return len(self.generators) == len(self.quotients) and self.value(target.dim) == target
+
+    def cites(self, base: tuple[Polynomial, ...]) -> bool:
+        """Whether each generator is the product of the ``power`` generators
+        of ``base`` that its factor multiset names."""
+        return len(self.factors) == len(self.generators) and all(
+            len(factor) == self.power
+            and all(0 <= q < len(base) for q in factor)
+            and prod((base[q] for q in factor), start=Polynomial.one(generator.dim)) == generator
+            for factor, generator in zip(self.factors, self.generators)
+        )
 
 
 @dataclass(frozen=True)
@@ -163,6 +180,7 @@ class IntegralityCertificate:
                 proof.power,
                 proof.generators,
                 tuple(q.scale(factor ** proof.power) for q in proof.quotients),
+                proof.factors,
             )
             for proof in self.proofs
         )
@@ -171,40 +189,25 @@ class IntegralityCertificate:
         )
 
     def verify(self, ideal: Ideal | None = None) -> bool:
-        """Exact re-verification: the equation vanishes, every proof
-        re-evaluates, and (when the base ideal is supplied) every proof
-        generator really lies in the corresponding ideal power."""
+        """Exact re-verification by multiplying out: the equation vanishes,
+        every proof re-evaluates, and (when the base ideal is supplied) every
+        proof generator is the product its factor multiset cites. No ideal
+        power and no Groebner basis is built."""
         if self.degree < 1 or len(self.coefficients) != self.degree:
             return False
         if len(self.proofs) != self.degree:
             return False
         if not self.equation_value().is_zero:
             return False
+        base = None if ideal is None else to_poly_ideal(ideal).gens
         for i, (coeff, proof) in enumerate(zip(self.coefficients, self.proofs), start=1):
             if proof.power != i:
                 return False
             if not proof.evaluates_to(coeff):
                 return False
-        if ideal is not None:
-            for proof in self.proofs:
-                if proof.generators and not _all_in_ideal_power(
-                    proof.generators, ideal, proof.power
-                ):
-                    return False
+            if base is not None and not proof.cites(base):
+                return False
         return True
-
-
-def _all_in_ideal_power(gens: tuple[Polynomial, ...], ideal: Ideal, power: int) -> bool:
-    """Whether every polynomial of ``gens`` lies in ideal^power, which is
-    built once for all of them."""
-    if isinstance(ideal, MonomialIdeal):
-        power_ideal = ideal_power(ideal, power)
-        if all(g.is_monomial() for g in gens):
-            return all(contains_monomial(power_ideal, next(iter(g.terms))) for g in gens)
-        poly_power = to_poly_ideal(power_ideal)
-    else:
-        poly_power = poly_ideal_power(ideal, power)
-    return all(in_poly_ideal(g, poly_power) for g in gens)
 
 
 # -- reduction detection ------------------------------------------------------
@@ -327,53 +330,42 @@ def is_integral_element(
 # -- certificates -------------------------------------------------------------
 
 
-def monomial_certificate(
-    m: ExponentVector,
-    j_ideal: MonomialIdeal,
-    generator_cap: int = DEFAULT_GENERATOR_CAP,
-) -> IntegralityCertificate:
+def monomial_certificate(m: ExponentVector, j_ideal: MonomialIdeal) -> IntegralityCertificate:
     """A pure-power equation for a monomial integral over a monomial ideal.
 
     With convex weights lambda on the generators and n the least common
-    denominator, n*m dominates an n-fold sum of generator exponents, so
-    x^(n*m) is a generator multiple inside J^n and t^n - x^(n*m) is the
-    certificate. When some generator divides m directly the degree is 1.
+    denominator of the weights, c = n * lambda is an n-element multiset of
+    generators whose exponent sum is at most n*m, so x^(n*m) is a multiple
+    of that one product in J^n and t^n - x^(n*m) is the certificate; its
+    last proof cites the product alone. When some generator divides m the
+    weights are a unit vector and the degree is 1. J^n is never built.
     """
     dim = j_ideal.dim
-    member, weights = closure_member_certificate(j_ideal, m)
+    polyhedron = polyhedron_of(j_ideal)
+    member, weights = polyhedron.member(m)
     if not member:
         raise PreconditionError(f"{m} is not integral over the ideal")
+    assert weights is not None
     m = tuple(int(c) for c in m)
     element = Polynomial.monomial(dim, m)
-
-    if contains_monomial(j_ideal, m):
-        generator = next(g for g in j_ideal.gens if divides(g, m))
-        quotients = [Polynomial.zero(dim) for _ in j_ideal.gens]
-        shift = tuple(a - b for a, b in zip(m, generator))
-        quotients[j_ideal.gens.index(generator)] = Polynomial.monomial(dim, shift, -1)
-        proof = MembershipProof(
-            1,
-            tuple(Polynomial.monomial(dim, g) for g in j_ideal.gens),
-            tuple(quotients),
-        )
-        return IntegralityCertificate(element, 1, (-element,), (proof,))
-
-    assert weights is not None
     degree = lcm(*(lam.denominator for lam in weights.lambdas))
-    if degree < 2:
-        raise InvariantViolationError("fractional weights expected outside the ideal")
+    factor = tuple(
+        sorted(
+            j_ideal.gens.index(vertex)
+            for vertex, lam in zip(polyhedron.vertices, weights.lambdas)
+            for _ in range(int(lam * degree))
+        )
+    )
+    product = tuple(map(sum, zip(*(j_ideal.gens[q] for q in factor))))
     target = tuple(c * degree for c in m)
-    power = ideal_power(j_ideal, degree, generator_cap)
-    generator = next((g for g in power.gens if divides(g, target)), None)
-    if generator is None:
-        raise InvariantViolationError("scaled monomial escaped the ideal power")
-    quotients = [Polynomial.zero(dim) for _ in power.gens]
-    shift = tuple(a - b for a, b in zip(target, generator))
-    quotients[power.gens.index(generator)] = Polynomial.monomial(dim, shift, -1)
+    shift = tuple(a - b for a, b in zip(target, product))
+    if min(shift) < 0:
+        raise InvariantViolationError("scaled monomial escaped the cited product")
     final_proof = MembershipProof(
         degree,
-        tuple(Polynomial.monomial(dim, g) for g in power.gens),
-        tuple(quotients),
+        (Polynomial.monomial(dim, product),),
+        (Polynomial.monomial(dim, shift, -1),),
+        (factor,),
     )
     coefficients = tuple(
         Polynomial.zero(dim) for _ in range(degree - 1)
@@ -431,10 +423,15 @@ def cramer_certificate(
     That hypothesis holds whenever I^(k+1) = J * I^k, and the lift of each
     f * g_i, for the generators g_i of I^k, into J * I^k checks it. Division
     quotients regrouped per (J-generator, I^k-generator) pair give an exact
-    matrix H over J with f * g_i = sum(H[i][j] * g_j). The characteristic
-    polynomial det(t * Id - H) is monic of degree N = #generators, has i-th
-    coefficient in J^i, and vanishes at t = f because the ambient ring is a
-    domain; all three facts are re-checked exactly before returning.
+    matrix H with f * g_i = sum(H[i][j] * g_j), whose entries are linear
+    forms sum(c * y_q) in one symbol y_q per generator q of J. The
+    characteristic polynomial det(t * Id - H) is monic of degree
+    N = #generators, and its coefficient of t^(N-i) is a form of degree i in
+    the symbols: each y-monomial is a multiset of J's generators, so the
+    proof of a_i in J^i is read off the form, and substituting y_q -> q
+    gives a_i. The polynomial vanishes at t = f because the ambient ring is
+    a domain. Every one of these facts is re-checked exactly before
+    returning.
     """
     j_poly = to_poly_ideal(j_ideal)
     i_poly = to_poly_ideal(i_ideal)
@@ -458,68 +455,64 @@ def cramer_certificate(
     pair_gens = [q * g for q in j_poly.gens for g in basis_ideal.gens]
     lift_ideal = PolyIdeal(dim, tuple(pair_gens))
 
-    matrix_h: list[list[Polynomial]] = []
-    for g_i in basis_ideal.gens:
+    # The characteristic matrix lives over the ring widened by the symbols
+    # y_q and then t, as trailing coordinates.
+    symbols = len(j_poly.gens)
+    wide = dim + symbols + 1
+    y_tails = [tuple(int(q == p) for p in range(symbols)) + (0,) for q in range(symbols)]
+    t_poly = Polynomial.monomial(wide, (0,) * (wide - 1) + (1,))
+    char_matrix: list[list[Polynomial]] = []
+    for i, g_i in enumerate(basis_ideal.gens):
         lift = poly_ideal_member(f * g_i, lift_ideal, order, spair_cap)
         if not lift.member:
             raise PreconditionError(f"f * I^{k} is not in J * I^{k}")
         assert lift.generator_quotients is not None
+        check = Polynomial.zero(dim)
         row = []
-        for j in range(count):
+        for j, g_j in enumerate(basis_ideal.gens):
             entry = Polynomial.zero(dim)
+            symbolic: dict[ExponentVector, Fraction] = {}  # -sum(c * y_q)
             for q_index, q in enumerate(j_poly.gens):
                 coefficient = lift.generator_quotients[q_index * count + j]
                 if not coefficient.is_zero:
                     entry += coefficient * q
-            row.append(entry)
-        check = Polynomial.zero(dim)
-        for entry, g_j in zip(row, basis_ideal.gens):
+                    tail = y_tails[q_index]
+                    symbolic.update((e + tail, -c) for e, c in coefficient.terms.items())
             check += entry * g_j
+            symbolic_entry = Polynomial._trusted(wide, symbolic)
+            row.append(t_poly + symbolic_entry if i == j else symbolic_entry)
         if check != f * g_i:
             raise InvariantViolationError("regrouped lift does not reproduce f * g_i")
-        matrix_h.append(row)
-
-    # Characteristic matrix over the ring extended by t as a last coordinate.
-    def lift_poly(p: Polynomial, t_power: int = 0) -> Polynomial:
-        return Polynomial._trusted(
-            dim + 1, {e + (t_power,): c for e, c in p.terms.items()}
-        )
-
-    t_poly = Polynomial.monomial(dim + 1, (0,) * dim + (1,))
-    char_matrix = [
-        [
-            (t_poly if i == j else Polynomial.zero(dim + 1)) - lift_poly(matrix_h[i][j])
-            for j in range(count)
-        ]
-        for i in range(count)
-    ]
+        char_matrix.append(row)
     det = bareiss_determinant(char_matrix)
 
-    by_t_degree: dict[int, dict[ExponentVector, Fraction]] = {}
+    # The terms of det, grouped by i = N - (degree in t) and then by their
+    # y-monomial, written as the multiset of J's generators it names.
+    forms: dict[int, dict[tuple[int, ...], dict[ExponentVector, Fraction]]] = {}
     for exps, coeff in det.terms.items():
-        by_t_degree.setdefault(exps[-1], {})[exps[:-1]] = coeff
-    if by_t_degree.get(count) != {(0,) * dim: Fraction(1)}:
+        i, y_exps = count - exps[-1], exps[dim:-1]
+        if sum(y_exps) != i:
+            raise InvariantViolationError(f"coefficient {i} is not a form of degree {i}")
+        factor = tuple(q for q, e in enumerate(y_exps) for _ in range(e))
+        forms.setdefault(i, {}).setdefault(factor, {})[exps[:dim]] = coeff
+    if forms.get(0) != {(): {(0,) * dim: Fraction(1)}}:
         raise InvariantViolationError("characteristic polynomial is not monic")
-    coefficients = tuple(
-        Polynomial._trusted(dim, by_t_degree.get(count - i, {})) for i in range(1, count + 1)
-    )
-
-    equation = f ** count
-    for i, coeff in enumerate(coefficients, start=1):
-        if not coeff.is_zero:
-            equation += coeff * f ** (count - i)
-    if not equation.is_zero:
-        raise InvariantViolationError("characteristic polynomial does not vanish at f")
-
+    one = Polynomial.one(dim)
     proofs = []
-    for i, coeff in enumerate(coefficients, start=1):
-        if coeff.is_zero:
-            proofs.append(MembershipProof(i, (), ()))
-            continue
-        power_ideal = poly_ideal_power(j_poly, i, generator_cap)
-        membership: Membership = poly_ideal_member(coeff, power_ideal, order, spair_cap)
-        if not membership.member:
-            raise InvariantViolationError(f"coefficient {i} escaped J^{i}")
-        assert membership.generator_quotients is not None
-        proofs.append(MembershipProof(i, power_ideal.gens, membership.generator_quotients))
-    return IntegralityCertificate(f, count, coefficients, tuple(proofs))
+    for i in range(1, count + 1):
+        form = forms.get(i, {})
+        factors = tuple(sorted(form))
+        proofs.append(
+            MembershipProof(
+                i,
+                tuple(prod(map(j_poly.gens.__getitem__, c), start=one) for c in factors),
+                tuple(Polynomial._trusted(dim, form[c]) for c in factors),
+                factors,
+            )
+        )
+    # Substituting y_q -> q turns each form into a_i.
+    coefficients = tuple(proof.value(dim) for proof in proofs)
+    certificate = IntegralityCertificate(f, count, coefficients, tuple(proofs))
+    if not certificate.equation_value().is_zero:
+        raise InvariantViolationError("characteristic polynomial does not vanish at f")
+    return certificate

@@ -154,15 +154,21 @@ def default_variables(dim: int) -> tuple[str, ...]:
 def _proof_payload(proof: MembershipProof, variables: Sequence[str]) -> dict:
     return {
         "power": proof.power,
+        "factors": [list(factor) for factor in proof.factors],
         "generators": [format_polynomial(g, variables) for g in proof.generators],
         "quotients": [format_polynomial(q, variables) for q in proof.quotients],
     }
 
 
 def certificate_payload(
-    certificate: IntegralityCertificate, variables: Sequence[str]
+    certificate: IntegralityCertificate,
+    base: MonomialIdeal | PolyIdeal,
+    variables: Sequence[str],
 ) -> dict:
+    """The certificate with ``base``, the generators of J in the order the
+    proofs' factor indices refer to."""
     return {
+        "base": generator_strings(base, variables),
         "element": format_polynomial(certificate.element, variables),
         "n": certificate.degree,
         "coefficients": [

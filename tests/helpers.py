@@ -4,8 +4,9 @@ The oracles here deliberately re-derive answers from first principles
 (divisibility scans, pairwise minimalization, box scans with the simplex,
 scaling, cofactor expansion, ideal equality by reduced Groebner bases,
 division by whole polynomial operations, Buchberger's loop with every lcm
-and cofactor row recomputed in place) so library paths are checked against
-something they do not share code with.
+and cofactor row recomputed in place, certificate checks by ideal
+membership) so library paths are checked against something they do not
+share code with.
 """
 
 from __future__ import annotations
@@ -336,6 +337,42 @@ def cofactor_determinant(matrix: list[list[Polynomial]]) -> Polynomial:
         term = entry * cofactor_determinant(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def reference_verify(certificate, ideal) -> bool:
+    """Re-verification by ideal membership, sharing no code with the
+    certificate's own check: the equation vanishes at the element, each
+    proof re-evaluates to its coefficient, and each proof generator lies in
+    ideal^power, which is built in full (and, for a general ideal, given a
+    Groebner basis) once per proof. The factor multisets are not read."""
+    n = certificate.degree
+    if n < 1 or len(certificate.coefficients) != n or len(certificate.proofs) != n:
+        return False
+    f = certificate.element
+    total = f ** n
+    for i, coeff in enumerate(certificate.coefficients, start=1):
+        total = total + coeff * f ** (n - i)
+    if not total.is_zero:
+        return False
+    for i, (coeff, proof) in enumerate(zip(certificate.coefficients, certificate.proofs), start=1):
+        if proof.power != i or len(proof.generators) != len(proof.quotients):
+            return False
+        combination = Polynomial.zero(f.dim)
+        for quotient, generator in zip(proof.quotients, proof.generators):
+            combination = combination + quotient * generator
+        if combination != coeff:
+            return False
+        if not proof.generators:
+            continue
+        if isinstance(ideal, MonomialIdeal) and all(g.is_monomial() for g in proof.generators):
+            power = ideal_power(ideal, i)
+            if not all(contains_monomial(power, next(iter(g.terms))) for g in proof.generators):
+                return False
+            continue
+        power = poly_ideal_power(to_poly_ideal(ideal), i)
+        if not all(poly_ideal_member(g, power).member for g in proof.generators):
+            return False
+    return True
 
 
 def sheared_general_pair(

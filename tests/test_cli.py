@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 from closure_lab.cli import main
+from closure_lab.parsing import parse_polynomial
 from closure_lab.serialize import parse_ideal
 from helpers import package_env
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -107,6 +110,93 @@ def test_is_integral_certificates_verify_in_json(ideal_file, capsys):
         assert cert["n"] >= 1
         assert len(cert["coefficients"]) == cert["n"]
         assert len(cert["memberships"]) == cert["n"]
+
+
+def _recheck_by_multiplying_out(cert: dict, variables: list[str]) -> None:
+    """A reader's check of one --certify certificate from its JSON alone:
+    each cited product of "base" generators is the listed generator, the
+    memberships sum to the coefficients, and the equation vanishes."""
+    def poly(text):
+        return parse_polynomial(text, variables)
+
+    base = [poly(g) for g in cert["base"]]
+    element = poly(cert["element"])
+    n = cert["n"]
+    total = element ** n
+    for i, (coeff, proof) in enumerate(zip(cert["coefficients"], cert["memberships"]), 1):
+        assert proof["power"] == i
+        combination = poly("0")
+        for factor, generator, quotient in zip(
+            proof["factors"], proof["generators"], proof["quotients"], strict=True
+        ):
+            assert len(factor) == i
+            product = poly("1")
+            for index in factor:
+                product = product * base[index]
+            assert product == poly(generator)
+            combination = combination + poly(quotient) * product
+        assert combination == poly(coeff)
+        total = total + poly(coeff) * element ** (n - i)
+    assert total.is_zero
+
+
+def test_certify_json_pins_bytes(capsys):
+    x2y2 = str(ROOT / "ideals" / "x2y2.json")
+    code, out, _ = run_main(capsys, "is-integral", x2y2, "--element", "x*y", "--certify", "--json")
+    assert code == 0
+    assert out == (
+        '{"certificates": [{"base": ["x^2", "y^2"], "coefficients": ["0", "-x^2*y^2"], '
+        '"element": "x*y", "memberships": [{"factors": [], "generators": [], "power": 1, '
+        '"quotients": []}, {"factors": [[0, 1]], "generators": ["x^2*y^2"], "power": 2, '
+        '"quotients": ["-1"]}], "n": 2}], "element": "x*y", "verdict": "yes"}\n'
+    )
+    code, out, _ = run_main(
+        capsys, "is-integral", x2y2, "--element", "x*y + x^2", "--certify", "--json"
+    )
+    assert code == 0
+    assert out == (
+        '{"certificates": [{"base": ["x^2", "y^2"], "coefficients": ["-2*x^2", '
+        '"x^4 - x^2*y^2", "0"], "element": "x^2 + x*y", "memberships": [{"factors": [[0]], '
+        '"generators": ["x^2"], "power": 1, "quotients": ["-2"]}, {"factors": [[0, 0], '
+        '[0, 1]], "generators": ["x^4", "x^2*y^2"], "power": 2, "quotients": ["1", "-1"]}, '
+        '{"factors": [], "generators": [], "power": 3, "quotients": []}], "n": 3}], '
+        '"element": "x^2 + x*y", "verdict": "yes"}\n'
+    )
+
+
+def test_certify_json_is_self_contained(ideal_file, capsys):
+    # the file lists J's generators out of canonical order; "base" restores
+    # the order the factor indices refer to
+    j_path = ideal_file("j.json", {"vars": ["x", "y"], "generators": ["y^2", "x^2"]})
+    i_path = ideal_file("i.json", FULL)
+    code, out, _ = run_main(capsys, "is-integral", j_path, i_path, "--certify", "--json")
+    assert code == 0
+    certificates = json.loads(out)["certificates"]
+    assert all(cert["base"] == ["x^2", "y^2"] for cert in certificates)
+    for element in ("x*y", "x^2 + x*y", "3*x*y - y^2"):
+        code, out, _ = run_main(
+            capsys, "is-integral", j_path, "--element", element, "--certify", "--json"
+        )
+        assert code == 0
+        certificates += json.loads(out)["certificates"]
+    assert len(certificates) == 6
+    for cert in certificates:
+        _recheck_by_multiplying_out(cert, ["x", "y"])
+
+
+def test_certify_nine_variables_cites_one_product(capsys):
+    # J^9 of (x0^9, ..., x8^9) has 24,310 minimal generators; the proof
+    # needs only their product x0^9 * ... * x8^9
+    diag9 = str(ROOT / "ideals" / "diag9.json")
+    element = "*".join(f"x{i}" for i in range(9))
+    code, out, _ = run_main(
+        capsys, "is-integral", diag9, "--element", element, "--certify", "--json"
+    )
+    assert code == 0
+    cert = json.loads(out)["certificates"][0]
+    assert cert["n"] == 9
+    assert [p["factors"] for p in cert["memberships"]] == [[]] * 8 + [[list(range(9))]]
+    _recheck_by_multiplying_out(cert, [f"x{i}" for i in range(9)])
 
 
 def test_reduction_number_exit_codes(ideal_file, capsys):

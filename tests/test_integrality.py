@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from closure_lab.errors import InstanceTooLargeError, PreconditionError
-from closure_lab.groebner import PolyIdeal, poly_ideal_sum, to_poly_ideal
+from closure_lab import groebner, monomials
+from closure_lab.groebner import PolyIdeal, poly_ideal_power, poly_ideal_sum, to_poly_ideal
 from closure_lab.integrality import (
     DET_SIZE_CAP,
     NO,
@@ -26,8 +29,15 @@ from closure_lab.integrality import (
     unknown,
 )
 from closure_lab.lab import random_monomial_ideal, witness_pair
-from closure_lab.monomials import ideal_sum, minimalize, unit_ideal, zero_ideal
-from closure_lab.newton import closure
+from closure_lab.monomials import (
+    MonomialIdeal,
+    contains_monomial,
+    ideal_sum,
+    minimalize,
+    unit_ideal,
+    zero_ideal,
+)
+from closure_lab.newton import closure, polyhedron_of
 from closure_lab.parsing import parse_polynomial
 from closure_lab.polynomials import Polynomial
 from helpers import (
@@ -35,6 +45,7 @@ from helpers import (
     equality_reduction_number,
     mono,
     random_nonzero_polynomial,
+    reference_verify,
     sheared_general_pair,
 )
 
@@ -408,6 +419,26 @@ def test_certificate_verify_rejects_damage():
     assert not stray.verify(to_poly_ideal(J22))
 
 
+    # factor multisets must name, in range, exactly the listed generator
+    def with_factors(factors, base=J22):
+        proof = MembershipProof(2, final.generators, final.quotients, factors)
+        damaged = IntegralityCertificate(
+            cert.element, cert.degree, cert.coefficients, (cert.proofs[0], proof)
+        )
+        return damaged.verify(base)
+
+    assert final.factors == ((0, 1),) and with_factors(((0, 1),))
+    assert not with_factors(((0, 2),))  # index out of range
+    assert not with_factors(((-1, 0),))  # would read y^2 * x^2 from the end
+    assert not with_factors(())  # shorter than the generators
+    assert not with_factors(((0, 0),))  # x^4 is not the listed x^2*y^2
+    # x^2*y^2 is itself a generator of this base, but a proof of power 2
+    # must cite two factors
+    padded = to_poly_ideal(J22).gens + (P("x^2*y^2"),)
+    assert with_factors(((0, 1),), PolyIdeal(2, padded))
+    assert not with_factors(((2,),), PolyIdeal(2, padded))
+
+
 def test_membership_proof_empty_sum_is_zero():
     proof = MembershipProof(1, (), ())
     assert proof.evaluates_to(Polynomial.zero(2))
@@ -419,5 +450,101 @@ def test_certificate_scale_root():
     scaled = cert.scale_root(Fraction(-3, 2))
     assert scaled.element == P("-3/2*x*y")
     assert scaled.verify(J22)
+    assert [p.factors for p in scaled.proofs] == [p.factors for p in cert.proofs]
     with pytest.raises(PreconditionError):
         cert.scale_root(0)
+
+
+# -- verification by multiplying out ---------------------------------------------
+
+
+def _general_certificates():
+    """Determinant-trick certificates for an added generator f of I over J,
+    on seeded sheared pairs of every kind that reduction search settles."""
+    rng = random.Random(31)
+    found = []
+    for _ in range(12):
+        for extras, repeat in GENERAL_PAIR_KINDS:
+            j_poly, i_poly = sheared_general_pair(rng, extras, repeat)
+            witness = reduction_number(j_poly, i_poly, 2)
+            if isinstance(witness, ReductionWitness):
+                f = i_poly.gens[-1]
+                cert = cramer_certificate(f, j_poly, i_poly, witness.k)
+                found.append((cert, j_poly, poly_ideal_power(i_poly, witness.k)))
+    return found
+
+
+def _monomial_members(count):
+    """(member of closure(J), J) pairs drawn as criterion 5 draws them."""
+    rng = random.Random(20_242)
+    for _ in range(count):
+        dim = rng.choice((2, 3))
+        ideal = random_monomial_ideal(rng, dim, min_gens=2, max_gens=4, max_exp=4)
+        closed = closure(ideal)
+        yield closed.gens[rng.randrange(len(closed.gens))], ideal
+
+
+def test_certificates_pass_the_membership_oracle_on_seeded_samples():
+    for member, ideal in _monomial_members(50):
+        cert = monomial_certificate(member, ideal)
+        assert cert.verify(ideal) and reference_verify(cert, ideal)
+        # the degree is 1 inside J, else the least common denominator of
+        # the convex weights
+        _, weights = polyhedron_of(ideal).member(member)
+        expected = lcm(*(lam.denominator for lam in weights.lambdas))
+        assert cert.degree == expected
+        assert (expected == 1) == contains_monomial(ideal, member)
+        assert sum(len(p.generators) for p in cert.proofs) == 1
+    general = _general_certificates()
+    assert len(general) >= 15
+    for cert, j_poly, basis_ideal in general:
+        assert cert.verify(j_poly) and reference_verify(cert, j_poly)
+        assert cert.degree == len(basis_ideal.gens)
+
+
+def test_certificates_are_built_and_checked_without_powers_or_bases(monkeypatch):
+    general = _general_certificates()
+    over_monomial = []
+    for f, ideal in (("x*y + y^2", J22), ("x^2*y + x*y^2", mono(2, (3, 0), (0, 3)))):
+        f = P(f)
+        j_poly = to_poly_ideal(ideal)
+        i_poly = poly_ideal_sum(j_poly, PolyIdeal(2, (f,)))
+        witness = reduction_number(j_poly, i_poly, 10)
+        over_monomial.append((cramer_certificate(f, j_poly, i_poly, witness.k), ideal))
+
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"a certificate path called {name}")
+
+        return refused
+
+    originals = {
+        "buchberger": groebner.buchberger,
+        "ideal_power": monomials.ideal_power,
+        "poly_ideal_power": groebner.poly_ideal_power,
+        "poly_ideal_member": groebner.poly_ideal_member,
+        "in_poly_ideal": groebner.in_poly_ideal,
+    }
+    patched = set()
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "closure_lab":
+            continue
+        for name, original in originals.items():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, refuse(name))
+                patched.add((module_name, name))
+    monkeypatch.setattr(PolyIdeal, "groebner", refuse("PolyIdeal.groebner"))
+    assert ("closure_lab.integrality", "poly_ideal_power") in patched
+    assert ("closure_lab.groebner", "buchberger") in patched
+
+    for member, ideal in _monomial_members(50):
+        assert monomial_certificate(member, ideal).verify(ideal)
+    for cert, j_poly, _ in general:
+        assert cert.verify(j_poly)
+    for cert, ideal in over_monomial:
+        assert cert.verify(ideal) and cert.verify(to_poly_ideal(ideal))
+    # the proof of J^9 over nine pure ninth powers is one cited product
+    diagonal = MonomialIdeal(9, [tuple(9 * (j == q) for j in range(9)) for q in range(9)])
+    cert = monomial_certificate((1,) * 9, diagonal)
+    assert cert.degree == 9 and cert.proofs[-1].factors == (tuple(range(9)),)
+    assert cert.verify(diagonal)
