@@ -147,7 +147,7 @@ def _single_term_exponents(parsed_vars, expr: str):
 def _cmd_closure(args, config: Config) -> int:
     parsed = load_ideal(args.ideal)
     ideal = _require_monomial(parsed, "closure")
-    closed = newton.closure(ideal, config.box_point_cap)
+    closed = newton.closure(ideal, config.box_point_cap, n=1)
     payload = serialize.ideal_payload(closed, parsed.variables)
     text = "closure: " + ", ".join(payload["generators"]) if payload["generators"] else "closure: (0)"
     _emit(payload, text, _format(args, config))

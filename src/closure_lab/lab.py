@@ -6,7 +6,7 @@ largest s with closure(J)^n inside J^s and the largest s with closure(J^n)
 inside J^s; the gaps n - s, maximized over n, are the per-ideal uniform
 exponents reported as k_bar and k_cl. Reports carry per-n rows rather than
 any claim that the gaps stabilize, and nothing here computes the ring-wide
-supremum over all ideals.
+supremum over all ideals. closure(J^n) is ``closure(J, box_point_cap, n=n)``.
 """
 
 from __future__ import annotations
@@ -82,11 +82,11 @@ def uniform_exponents(
         raise PreconditionError(f"n_max must be >= 1, got {n_max}")
     if ideal.is_zero or ideal.is_unit:
         raise PreconditionError("the ideal must be proper and nonzero")
-    closed = closure(ideal, box_point_cap)
+    closed = closure(ideal, box_point_cap, n=1)
     rows = []
     for n in range(1, n_max + 1):
         power_of_closure = ideal_power(closed, n, generator_cap)
-        closure_of_power = closure(ideal_power(ideal, n, generator_cap), box_point_cap)
+        closure_of_power = closure(ideal, box_point_cap, n=n)
         s_bar = _max_contained_power(ideal, power_of_closure, n, generator_cap)
         s_closure = _max_contained_power(ideal, closure_of_power, n, generator_cap)
         rows.append(ExponentRow(n, s_bar, s_closure))
@@ -198,7 +198,7 @@ def lipman_sathaye_check(
     d = ideal.dim
     rows = []
     for n in range(max(d - 1, 1), n_max + 1):
-        closed = closure(ideal_power(ideal, n, generator_cap), box_point_cap)
+        closed = closure(ideal, box_point_cap, n=n)
         target = ideal_power(ideal, max(n - d + 1, 0), generator_cap)
         rows.append(ContainmentRow(n, ideal_contains(target, closed)))
     return ShiftedContainmentReport(ideal, n_max, tuple(rows))
@@ -215,11 +215,11 @@ def chain_check(
         raise PreconditionError(f"n_max must be >= 1, got {n_max}")
     if ideal.is_zero:
         return True  # all three ideals are zero
-    closed = closure(ideal, box_point_cap)
+    closed = closure(ideal, box_point_cap, n=1)
     for n in range(1, n_max + 1):
         plain_power = ideal_power(ideal, n, generator_cap)
         closure_power = ideal_power(closed, n, generator_cap)
-        closed_power = closure(plain_power, box_point_cap)
+        closed_power = closure(ideal, box_point_cap, n=n)
         if not ideal_contains(closure_power, plain_power):
             return False
         if not ideal_contains(closed_power, closure_power):

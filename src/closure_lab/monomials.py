@@ -184,26 +184,20 @@ def ideal_product(
 def ideal_power(
     a: MonomialIdeal, n: int, generator_cap: int = DEFAULT_GENERATOR_CAP
 ) -> MonomialIdeal:
-    """The n-th power, with A^0 the unit ideal; computed by binary powering.
-
-    Binary powering with minimalization at each product equals the n-fold
-    product because monomial ideal multiplication is associative and the
-    minimal-generator representation is canonical.
+    """The n-th power, with A^0 the unit ideal: A^n = A^(n-h) * A^h through
+    this cache, h the largest power of two below n. With both factors cached,
+    as in an ascending run, it costs one product; cold, the O(log n) products
+    of binary powering, O(log n) calls deep. ``generator_cap`` bounds each
+    power built and is part of the key, so no cache state changes a verdict.
     """
     if n < 0:
         raise PreconditionError(f"exponent must be nonnegative, got {n}")
-    if n == 0:
-        return unit_ideal(a.dim)
-    result: MonomialIdeal | None = None
-    base = a
-    while n:
-        if n & 1:
-            result = base if result is None else ideal_product(result, base, generator_cap)
-        n >>= 1
-        if n:
-            base = ideal_product(base, base, generator_cap)
-    assert result is not None
-    return result
+    if n <= 1:
+        return a if n else unit_ideal(a.dim)
+    h = 1 << ((n - 1).bit_length() - 1)
+    return ideal_product(
+        ideal_power(a, n - h, generator_cap), ideal_power(a, h, generator_cap), generator_cap
+    )
 
 
 def ideal_contains(a: MonomialIdeal, b: MonomialIdeal) -> bool:

@@ -9,11 +9,11 @@ if a lattice point a of the polyhedron had a_j above that maximum, then
 a - e_j would still dominate the same convex combination (its j-th
 coordinate still exceeds every vertex's), so a would not be minimal.
 
-:func:`closure` works from the polyhedron's facets, computed once per ideal
-by exact double description in integer arithmetic. The box bounds the
-prefixes (first d - 1 coordinates) it visits; over each prefix the least
-last coordinate inside the polyhedron is a maximum of integer ceilings, and
-every minimal generator is such a fibre minimum.
+:func:`closure` works from the facets, computed once per ideal J by exact
+double description in integer arithmetic and scaled by n for J^n. The box
+bounds the prefixes (first d - 1 coordinates) it visits; over each prefix
+the least last coordinate is a maximum of integer ceilings, and every
+minimal generator is such a fibre minimum.
 
 The same facets decide every membership question; the exact LP of
 :mod:`closure_lab.simplex` runs only for a point known to be inside, to give
@@ -37,7 +37,7 @@ from .monomials import (
     MonomialIdeal,
     as_exponent_vector,
     divides,
-    zero_ideal,
+    unit_ideal,
 )
 
 
@@ -117,8 +117,10 @@ def _facets(
     no third ray is tight on every row both are tight on. Rays are divided
     by the gcd of their entries; the ray (0, ..., 0, 1), the trivial
     inequality 0 >= -1, is dropped. A point lies in the polyhedron exactly
-    when it satisfies every pair. The cache is small because the reuse is a
-    closure followed by verdicts on the same ideal.
+    when it satisfies every pair. Callers pass vertices ascending, as
+    :class:`NewtonPolyhedron` stores them: one key per polyhedron. The cache
+    is small as reuse is local to one ideal: closures of its powers, then
+    verdicts and certificates on it.
     """
     # Each ray carries the bitmask of the rows it is tight on: bit j for the
     # row w_j >= 0, bit dim + i for the row of vertex i. Each ray of the
@@ -166,34 +168,37 @@ def _satisfies_facets(facets: Sequence[tuple], point: Sequence[int]) -> bool:
 
 @lru_cache(maxsize=1024)
 def closure(
-    ideal: MonomialIdeal, box_point_cap: int = DEFAULT_BOX_POINT_CAP
+    ideal: MonomialIdeal, box_point_cap: int = DEFAULT_BOX_POINT_CAP, *, n: int
 ) -> MonomialIdeal:
-    """The integral closure of a monomial ideal.
+    """The integral closure of J^n for a monomial ideal J. ``n`` has no
+    default, so closure(J) is always asked as ``n=1``, under one cache key.
 
-    Every minimal generator lies in the sufficient box (see the module
-    docstring) and is the least lattice point of the polyhedron over its own
-    prefix (its first d - 1 coordinates): lowering its last coordinate would
-    leave the polyhedron. So for each prefix in the box the least last
-    coordinate is read off the facets, kept when it is inside the box, and
-    the kept points are minimalized. The zero ideal is its own closure (the
-    ambient polynomial ring is reduced) and is returned without polyhedral
-    work.
+    NP(J^n) = n * NP(J): J's facets with every threshold scaled by n, over
+    the box n * bounds(J), so no double description runs on a power. Every
+    minimal generator lies in the box and is the least lattice point over
+    its prefix (module docstring), so the least last coordinate over each
+    prefix is read off the facets, kept when inside the box, and the kept
+    points minimalized. ``box_point_cap`` bounds the prefixes visited. The
+    powers of (0) are their own closures, as the ambient ring is reduced.
     """
+    if n < 0:
+        raise PreconditionError(f"power must be nonnegative, got {n}")
     if ideal.is_zero:
-        return zero_ideal(ideal.dim)
-    bounds = tuple(max(g[j] for g in ideal.gens) for j in range(ideal.dim))
-    box_points = prod(b + 1 for b in bounds)
-    if box_points > box_point_cap:
+        return ideal if n else unit_ideal(ideal.dim)
+    bounds = tuple(n * max(g[j] for g in ideal.gens) for j in range(ideal.dim))
+    prefixes = prod(b + 1 for b in bounds[:-1])
+    if prefixes > box_point_cap:
         raise InstanceTooLargeError(
-            f"closure box has {box_points} lattice points, cap is {box_point_cap}"
+            f"closure box has {prefixes} prefixes over the first {ideal.dim - 1}"
+            f" coordinates, cap is {box_point_cap}"
         )
     lifts = []  # facets that bound the last coordinate from below
     walls = []  # facets that only constrain the prefix
-    for weights, threshold in _facets(ideal.dim, ideal.gens):
+    for weights, threshold in _facets(ideal.dim, ideal.gens[::-1]):
         if weights[-1]:
-            lifts.append((weights[:-1], threshold, weights[-1]))
+            lifts.append((weights[:-1], n * threshold, weights[-1]))
         else:
-            walls.append((weights[:-1], threshold))
+            walls.append((weights[:-1], n * threshold))
     points = []
     for prefix in product(*(range(b + 1) for b in bounds[:-1])):
         if not _satisfies_facets(walls, prefix):
@@ -215,7 +220,7 @@ def closure_member(ideal: MonomialIdeal, m: ExponentVector) -> bool:
     if ideal.is_zero:
         raise PreconditionError("closure membership needs a nonzero ideal")
     point = as_exponent_vector(m, ideal.dim)
-    return _satisfies_facets(_facets(ideal.dim, ideal.gens), point)
+    return _satisfies_facets(_facets(ideal.dim, ideal.gens[::-1]), point)
 
 
 def closure_member_certificate(

@@ -1,11 +1,11 @@
 """Shared test utilities: tiny constructors and independent oracles.
 
 The oracles here deliberately re-derive answers from first principles
-(divisibility scans, pairwise minimalization, box scans with the simplex,
-scaling, cofactor expansion, ideal equality by reduced Groebner bases,
-division by whole polynomial operations, Buchberger's loop with every lcm
-and cofactor row recomputed in place, certificate checks by ideal
-membership) so library paths are checked against something they do not
+(divisibility scans, pairwise minimalization, binary powering, box scans
+with the simplex, scaling, cofactor expansion, ideal equality by reduced
+Groebner bases, division by whole polynomial operations, Buchberger's loop
+with every lcm and cofactor row recomputed in place, certificate checks by
+ideal membership) so library paths are checked against something they do not
 share code with.
 """
 
@@ -39,7 +39,9 @@ from closure_lab.monomials import (
     contains_monomial,
     divides,
     ideal_power,
+    ideal_product,
     minimalize,
+    unit_ideal,
     vector_sum,
 )
 from closure_lab.polynomials import GREVLEX, Polynomial, TermOrder, normal_form
@@ -418,11 +420,25 @@ def sheared_general_pair(
 
 def iterated_product(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     """n-fold product computed the slow, definitional way."""
-    from closure_lab.monomials import ideal_product, unit_ideal
-
     result = unit_ideal(ideal.dim)
     for _ in range(n):
         result = ideal_product(result, ideal)
+    return result
+
+
+def reference_ideal_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
+    """The n-th power by binary powering in a loop, with no cache: square the
+    base, and multiply it in at each set bit of n. Equal to the n-fold
+    product because multiplication is associative and the minimal-generator
+    representation is canonical."""
+    result = unit_ideal(ideal.dim)
+    base = ideal
+    while n:
+        if n & 1:
+            result = ideal_product(result, base)
+        n >>= 1
+        if n:
+            base = ideal_product(base, base)
     return result
 
 

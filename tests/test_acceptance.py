@@ -143,7 +143,7 @@ def test_criterion_5_certificate_soundness():
     for _ in range(50):
         dim = rng.choice((2, 3))
         ideal = random_monomial_ideal(rng, dim, min_gens=2, max_gens=4, max_exp=4)
-        closed = closure(ideal)
+        closed = closure(ideal, n=1)
         member = closed.gens[rng.randrange(len(closed.gens))]
         certificate = monomial_certificate(member, ideal)
         assert certificate.verify(ideal), f"monomial certificate failed for {member}"
@@ -177,7 +177,7 @@ def test_criterion_6_known_closures_golden():
         ),
     ]
     for ideal, expected in goldens:
-        closed = closure(ideal)
+        closed = closure(ideal, n=1)
         # scaling oracle must agree on the whole enumeration box before the
         # golden bytes count
         bounds = [max(g[j] for g in ideal.gens) for j in range(2)]

@@ -250,7 +250,7 @@ def test_monomial_certificates_verify_on_sampled_members(seed):
     rng = random.Random(seed)
     dim = rng.choice((2, 3))
     ideal = random_monomial_ideal(rng, dim, min_gens=2, max_gens=4, max_exp=4)
-    closed = closure(ideal)
+    closed = closure(ideal, n=1)
     member = closed.gens[rng.randrange(len(closed.gens))]
     cert = monomial_certificate(member, ideal)
     assert cert.verify(ideal)
@@ -372,7 +372,7 @@ def test_closure_is_a_reduction(seed):
     rng = random.Random(seed)
     dim = rng.choice((2, 3))
     ideal = random_monomial_ideal(rng, dim, min_gens=2, max_gens=4, max_exp=4)
-    witness = reduction_number(ideal, closure(ideal), 10)
+    witness = reduction_number(ideal, closure(ideal, n=1), 10)
     assert isinstance(witness, ReductionWitness)
 
 
@@ -382,7 +382,7 @@ def test_reduction_number_respects_degree_sum_bound(seed):
     rng = random.Random(seed)
     dim = rng.choice((2, 3))
     ideal = random_monomial_ideal(rng, dim, min_gens=2, max_gens=3, max_exp=4)
-    closed = closure(ideal)
+    closed = closure(ideal, n=1)
     member = closed.gens[rng.randrange(len(closed.gens))]
     extended = ideal_sum(ideal, minimalize(dim, [member]))
     witness = reduction_number(ideal, extended, 30)
@@ -480,7 +480,7 @@ def _monomial_members(count):
     for _ in range(count):
         dim = rng.choice((2, 3))
         ideal = random_monomial_ideal(rng, dim, min_gens=2, max_gens=4, max_exp=4)
-        closed = closure(ideal)
+        closed = closure(ideal, n=1)
         yield closed.gens[rng.randrange(len(closed.gens))], ideal
 
 

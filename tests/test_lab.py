@@ -5,6 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from closure_lab import monomials
+from closure_lab.config import DEFAULT_GENERATOR_CAP
 from closure_lab.errors import PreconditionError
 from closure_lab.lab import (
     chain_check,
@@ -16,7 +18,8 @@ from closure_lab.lab import (
     verify_witness,
     witness_pair,
 )
-from closure_lab.monomials import unit_ideal, zero_ideal
+from closure_lab.monomials import ideal_power, ideal_product, unit_ideal, zero_ideal
+from closure_lab.newton import closure
 from helpers import mono
 
 
@@ -84,6 +87,25 @@ def test_lipman_sathaye_worked_examples():
     assert lipman_sathaye_check(mono(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)), 3).ok
     with pytest.raises(PreconditionError):
         lipman_sathaye_check(unit_ideal(2), 4)
+
+
+def test_lipman_sathaye_check_builds_only_its_target_powers(monkeypatch):
+    # closure(J^n) is read off J's facets, so the only powers built are the
+    # targets J^(n - d + 1)
+    ideal = mono(3, (2, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1))
+    built = []
+
+    def recording_product(a, b, generator_cap=DEFAULT_GENERATOR_CAP):
+        result = ideal_product(a, b, generator_cap)
+        built.append(result)
+        return result
+
+    ideal_power.cache_clear()
+    closure.cache_clear()
+    monkeypatch.setattr(monomials, "ideal_product", recording_product)
+    assert lipman_sathaye_check(ideal, 6).ok
+    monkeypatch.undo()
+    assert set(built) == {ideal_power(ideal, m) for m in (2, 3, 4)}
 
 
 def test_chain_check_worked_examples():

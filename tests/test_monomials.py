@@ -30,6 +30,7 @@ from helpers import (
     iterated_product,
     mono,
     reference_ideal_contains,
+    reference_ideal_power,
     reference_minimal_vectors,
 )
 
@@ -126,9 +127,34 @@ vectors3 = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
 ideals3 = st.lists(vectors3, min_size=1, max_size=4).map(lambda vs: minimalize(3, vs))
 
 
-@given(ideals2, st.integers(0, 3))
+@given(ideals2, st.integers(0, 5))
 def test_power_equals_iterated_product(ideal, n):
-    assert ideal_power(ideal, n) == iterated_product(ideal, n)
+    assert ideal_power(ideal, n) == iterated_product(ideal, n) == reference_ideal_power(ideal, n)
+
+
+def test_cold_power_of_principal_ideal_at_5000():
+    # a cold power recurses O(log n) calls deep, not n
+    for n in (5000, 200_000):
+        ideal_power.cache_clear()
+        assert ideal_power(mono(3, (1, 2, 0)), n) == mono(3, (n, 2 * n, 0))
+
+
+def test_generator_cap_bounds_every_intermediate_power():
+    # (x, y)^m has m + 1 generators: under cap 4, (x, y)^3 fits, and
+    # (x, y)^4, built on the way to (x, y)^5, raises whatever is cached
+    ideal = mono(2, (1, 0), (0, 1))
+    warmups = [
+        lambda: None,
+        lambda: ideal_power(ideal, 5),
+        lambda: ideal_power(ideal, 3, 4),
+        lambda: ideal_power(ideal, 6, 10),
+    ]
+    for warm in warmups:
+        ideal_power.cache_clear()
+        warm()
+        with pytest.raises(InstanceTooLargeError, match="product has 5 minimal generators"):
+            ideal_power(ideal, 5, 4)
+        assert len(ideal_power(ideal, 3, 4).gens) == 4
 
 
 @given(ideals2, st.integers(0, 2), st.integers(0, 2))
@@ -219,12 +245,14 @@ def test_kernel_results_match_reference_minimalization(monkeypatch):
         pairs.append((random_monomial_ideal(rng, dim), random_monomial_ideal(rng, dim)))
 
     def results():
-        # the uncached bodies, so both passes really compute
+        # the uncached bodies, so both passes really compute; a power reads
+        # lower powers through the cache, so it starts empty in each pass
+        ideal_power.cache_clear()
         return [
             (
                 ideal_product(a, b).gens,
                 [ideal_power.__wrapped__(a, n).gens for n in range(4)],
-                closure.__wrapped__(a).gens,
+                closure.__wrapped__(a, n=1).gens,
             )
             for a, b in pairs
         ]
@@ -270,7 +298,7 @@ def test_internal_results_equal_their_validating_rebuild(chain):
         elif operation == "power":
             current = ideal_power(current, k)
         else:
-            current = closure(current)
+            current = closure(current, n=1)
         rebuilt = MonomialIdeal(current.dim, current.gens)
         assert rebuilt == current
         assert rebuilt.gens == current.gens

@@ -15,7 +15,14 @@ from closure_lab.errors import (
     InstanceTooLargeError,
     PreconditionError,
 )
-from closure_lab.integrality import NO, YES, is_integral_element, is_integral_ideal
+from closure_lab.config import DEFAULT_BOX_POINT_CAP
+from closure_lab.integrality import (
+    NO,
+    YES,
+    is_integral_element,
+    is_integral_ideal,
+    monomial_certificate,
+)
 from closure_lab.monomials import (
     MonomialIdeal,
     ideal_contains,
@@ -25,7 +32,7 @@ from closure_lab.monomials import (
     unit_ideal,
     zero_ideal,
 )
-from closure_lab.lab import random_monomial_ideal
+from closure_lab.lab import random_monomial_ideal, uniform_exponents
 from closure_lab.newton import (
     NewtonPolyhedron,
     _facets,
@@ -98,19 +105,60 @@ def test_membership_invariant_under_dominated_vertices():
 
 
 def test_closure_worked_examples():
-    assert closure(mono(2, (2, 0), (0, 2))).gens == ((2, 0), (1, 1), (0, 2))
-    assert closure(mono(2, (1, 0))).gens == ((1, 0),)
-    assert closure(mono(2, (3, 0), (0, 3))).gens == ((3, 0), (2, 1), (1, 2), (0, 3))
+    assert closure(mono(2, (2, 0), (0, 2)), n=1).gens == ((2, 0), (1, 1), (0, 2))
+    assert closure(mono(2, (1, 0)), n=1).gens == ((1, 0),)
+    assert closure(mono(2, (3, 0), (0, 3)), n=1).gens == ((3, 0), (2, 1), (1, 2), (0, 3))
 
 
 def test_closure_of_zero_and_unit():
-    assert closure(zero_ideal(2)).is_zero
-    assert closure(unit_ideal(2)).is_unit
+    assert closure(zero_ideal(2), n=1).is_zero
+    assert closure(unit_ideal(2), n=1).is_unit
 
 
 def test_closure_box_cap():
-    with pytest.raises(InstanceTooLargeError):
-        closure(mono(2, (9, 0), (0, 9)), box_point_cap=10)
+    # the cap counts the prefixes visited, x-exponents 0..9 here
+    ideal = mono(2, (9, 0), (0, 9))
+    assert len(closure(ideal, box_point_cap=10, n=1).gens) == 10
+    with pytest.raises(InstanceTooLargeError, match="10 prefixes over the first 1"):
+        closure(ideal, box_point_cap=9, n=1)
+
+
+def test_closure_of_negative_power_is_refused():
+    with pytest.raises(PreconditionError):
+        closure(mono(2, (2, 0), (0, 2)), DEFAULT_BOX_POINT_CAP, n=-1)
+
+
+def test_closure_of_power_matches_closure_of_built_power_on_seeded_sample():
+    rng = random.Random(1_963)
+    cases = [(zero_ideal(2), 0), (zero_ideal(2), 2), (unit_ideal(3), 3)]
+    for _ in range(200):
+        dim = rng.choice((2, 3, 4))
+        ideal = random_monomial_ideal(rng, dim, max_gens=5, max_exp=5)
+        cases.append((ideal, rng.randint(0, 4 if dim < 4 else 3)))
+    wider = 0  # cases where n * bounds(J) exceeds the bounds of J^n
+    for ideal, n in cases:
+        power = ideal_power(ideal, n)
+        expected = closure(power, DEFAULT_BOX_POINT_CAP, n=1)
+        assert closure(ideal, DEFAULT_BOX_POINT_CAP, n=n) == expected, (ideal, n)
+        if n and not ideal.is_zero:
+            wider += any(
+                n * max(g[j] for g in ideal.gens) > max(g[j] for g in power.gens)
+                for j in range(ideal.dim)
+            )
+    assert wider >= 1
+
+
+def test_one_double_description_per_ideal():
+    ideal = mono(3, (3, 0, 1), (0, 4, 0), (1, 1, 2), (2, 0, 2))
+    closure.cache_clear()
+    _facets.cache_clear()
+    uniform_exponents(ideal, 4)
+    assert _facets.cache_info().misses == 1
+    # a facet verdict and then a certificate on the same polyhedron
+    _facets.cache_clear()
+    assert closure_member(ideal, (1, 2, 1))
+    assert monomial_certificate((1, 2, 1), ideal).verify(ideal)
+    assert _facets.cache_info().misses == 1
 
 
 @pytest.mark.parametrize(
@@ -158,25 +206,25 @@ def nonzero(ideal):
 @given(ideals2.filter(nonzero))
 @settings(max_examples=40, deadline=None)
 def test_closure_is_extensive_and_idempotent(ideal):
-    closed = closure(ideal)
+    closed = closure(ideal, n=1)
     assert ideal_contains(closed, ideal)
-    assert closure(closed) == closed
+    assert closure(closed, n=1) == closed
 
 
 @given(ideals2.filter(nonzero), ideals2.filter(nonzero))
 @settings(max_examples=40, deadline=None)
 def test_closure_is_monotone(a, b):
     bigger = ideal_sum(a, b)  # a is contained in bigger by construction
-    assert ideal_contains(closure(bigger), closure(a))
+    assert ideal_contains(closure(bigger, n=1), closure(a, n=1))
 
 
 @given(ideals2.filter(nonzero), st.integers(1, 4))
 @settings(max_examples=25, deadline=None)
 def test_containment_chain(ideal, n):
-    closed = closure(ideal)
+    closed = closure(ideal, n=1)
     plain_power = ideal_power(ideal, n)
     assert ideal_contains(ideal_power(closed, n), plain_power)
-    assert ideal_contains(closure(plain_power), ideal_power(closed, n))
+    assert ideal_contains(closure(plain_power, n=1), ideal_power(closed, n))
 
 
 @given(ideals3.filter(nonzero))
@@ -311,7 +359,7 @@ def test_closures_check_themselves_on_seeded_sample():
         ideal = random_monomial_ideal(rng, rng.choice((2, 3)), max_gens=4, max_exp=5)
         polyhedron = polyhedron_of(ideal)
         facets = _facets(ideal.dim, ideal.gens)
-        for g in closure(ideal).gens:
+        for g in closure(ideal, n=1).gens:
             member, cert = polyhedron.member(g)
             assert member and cert.satisfies(polyhedron.vertices, g)
             for j in range(ideal.dim):
@@ -327,7 +375,7 @@ def test_closures_check_themselves_on_seeded_sample():
 @settings(max_examples=100, deadline=None)
 def test_closure_agrees_with_box_scan(ideal, n):
     power = ideal_power(ideal, n)
-    assert closure(power) == box_scan_closure(power)
+    assert closure(power, n=1) == box_scan_closure(power)
 
 
 def test_closure_agrees_with_box_scan_on_seeded_sample():
@@ -337,7 +385,7 @@ def test_closure_agrees_with_box_scan_on_seeded_sample():
             rng, rng.choice((2, 3)), min_gens=2, max_gens=4, max_exp=5
         )
         for power in (ideal, ideal_power(ideal, 2)):
-            assert closure(power) == box_scan_closure(power), power
+            assert closure(power, n=1) == box_scan_closure(power), power
 
 
 def test_shared_inputs_give_sequential_answers_across_threads():
@@ -351,7 +399,7 @@ def test_shared_inputs_give_sequential_answers_across_threads():
     points = [(i, j, k) for i in range(4) for j in range(4) for k in range(4)]
 
     def answers():
-        closures = [closure(ideal).gens for ideal in ideals]
+        closures = [closure(ideal, n=1).gens for ideal in ideals]
         members = [[poly.member(point)[0] for point in points] for poly in polyhedra]
         return closures, members
 
