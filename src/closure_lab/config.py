@@ -24,6 +24,11 @@ _ORDERS = ("grevlex", "lex")
 _OUTPUTS = ("text", "json", "csv")
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool (JSON ``true`` loads as one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Config:
     k_max: int = DEFAULT_K_MAX
@@ -38,13 +43,13 @@ class Config:
     def __post_init__(self):
         for name in ("k_max", "n_max", "generator_cap", "box_point_cap", "spair_cap"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
+            if not _is_int(value) or value <= 0:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if self.order not in _ORDERS:
             raise ConfigError(f"order must be one of {_ORDERS}, got {self.order!r}")
         if self.output not in _OUTPUTS:
             raise ConfigError(f"output must be one of {_OUTPUTS}, got {self.output!r}")
-        if not isinstance(self.seed, int) or not (-(2**63) <= self.seed < 2**64):
+        if not _is_int(self.seed) or not (-(2**63) <= self.seed < 2**64):
             raise ConfigError(f"seed must be a 64-bit integer, got {self.seed!r}")
 
 
@@ -65,6 +70,10 @@ def load_config(path: str | None = None, **overrides) -> Config:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError(f"config file {path} is nested too deeply") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         known = {f.name for f in fields(Config)}

@@ -1,10 +1,11 @@
-"""Buchberger's algorithm with lazy cofactor rows, and general-ideal operations.
+"""Buchberger's algorithm with a record of its steps, and general-ideal operations.
 
-A Groebner basis records how each element was formed and replays that
-record into cofactor rows over the original generators when a lift first
-reads them; lifts ``f = sum(q_k * gen_k)`` compose division quotients
-through those rows, for certificate construction. A membership verdict
-needs only a remainder. One helper forms every combination of rows.
+A Groebner basis records how each element was formed: a step of
+(coefficient, source) pairs per element. A lift of ``f = sum(q_b * basis_b)``
+over the original generators, for certificate construction, pushes the
+division quotients back through that record, newest element first, and
+visits only the elements the quotients reach. A membership verdict needs
+only a remainder.
 
 Pair bookkeeping uses the Gebauer-Moeller update, which implements the
 product and chain criteria for skipping predictably useless S-pairs; each
@@ -17,8 +18,8 @@ generators, in the same order, of the A * A^(n-1) that callers build.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Iterable
+from functools import lru_cache
+from typing import Sequence
 
 from .config import DEFAULT_GENERATOR_CAP, DEFAULT_SPAIR_CAP
 from .errors import DimensionMismatchError, InstanceTooLargeError, PreconditionError
@@ -26,7 +27,6 @@ from .monomials import ExponentVector, MonomialIdeal, divides, vector_sum
 from .polynomials import GREVLEX, Polynomial, TermOrder, normal_form
 
 
-Row = tuple[Polynomial, ...]
 Step = tuple[tuple[Polynomial, int], ...]
 
 
@@ -36,48 +36,38 @@ def _lcm(a: ExponentVector, b: ExponentVector) -> ExponentVector:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis plus the cofactor matrix over the inputs,
-    replayed on first read from ``_steps``: one row sum(c * rows[source]) per
-    element formed, then per basis element, after the generators' unit rows."""
+    """A reduced Groebner basis and the record of how it was formed.
+
+    Index k < len(generators) is generator k; index len(generators) + e is
+    the element that ``_steps[e]`` formed as sum(c * element[source]) over its
+    (c, source) pairs. The basis is the last len(basis) elements formed.
+    """
 
     order: TermOrder
     generators: tuple[Polynomial, ...]
     basis: tuple[Polynomial, ...]
     _steps: tuple[Step, ...] = field(repr=False)
 
-    @cached_property
-    def cofactors(self) -> tuple[Row, ...]:
-        if not self.generators:
+    def lift(self, quotients: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
+        """The generator quotients of sum(quotients[b] * basis[b]).
+
+        Each element's weight, seeded with its quotient, is multiplied into
+        its step's coefficients and added to the step's sources, newest
+        element first, and then dropped; the weights that reach the
+        generators are the lift.
+        """
+        count = len(self.generators)
+        if not count:
             return ()
-        count, dim = len(self.generators), self.generators[0].dim
-        zero, one = Polynomial.zero(dim), Polynomial.one(dim)
-        rows = [tuple(one if m == k else zero for m in range(count)) for k in range(count)]
-        for step in self._steps:
-            rows.append(_combine(dim, count, [(c, rows[source]) for c, source in step]))
-        return tuple(rows[len(rows) - len(self.basis) :])
-
-    def verify_cofactors(self) -> bool:
-        """Exactly re-evaluate every basis element from its cofactor row."""
-        for element, row in zip(self.basis, self.cofactors):
-            total = Polynomial.zero(element.dim)
-            for quotient, generator in zip(row, self.generators):
-                total += quotient * generator
-            if total != element:
-                return False
-        return True
-
-
-def _combine(dim: int, count: int, combination: Iterable[tuple[Polynomial, Row]]) -> Row:
-    """The row sum(c * row) over (c, row) pairs, rows of ``count`` entries;
-    zero coefficients and zero entries are skipped."""
-    total = [Polynomial.zero(dim)] * count
-    for coeff, row in combination:
-        if coeff.is_zero:
-            continue
-        for k, entry in enumerate(row):
-            if not entry.is_zero:
-                total[k] = total[k] + coeff * entry
-    return tuple(total)
+        weights = [Polynomial.zero(self.generators[0].dim)] * (count + len(self._steps))
+        weights[len(weights) - len(self.basis) :] = quotients
+        while len(weights) > count:
+            weight = weights.pop()
+            if weight.is_zero:
+                continue
+            for coeff, source in self._steps[len(weights) - count]:
+                weights[source] = weights[source] + weight * coeff
+        return tuple(weights)
 
 
 def buchberger(
@@ -85,7 +75,7 @@ def buchberger(
     order: TermOrder = GREVLEX,
     spair_cap: int = DEFAULT_SPAIR_CAP,
 ) -> GroebnerBasis:
-    """Compute the reduced Groebner basis, recording the steps of its rows."""
+    """Compute the reduced Groebner basis, recording the step of each element."""
     generators = tuple(generators)
     for index, g in enumerate(generators):
         if g.is_zero:
@@ -262,7 +252,7 @@ def poly_ideal_member(
     remainder, quotients = normal_form(f, gb.basis, order)
     if not remainder.is_zero:
         return Membership(False, None)
-    return Membership(True, _combine(ideal.dim, len(ideal.gens), zip(quotients, gb.cofactors)))
+    return Membership(True, gb.lift(quotients))
 
 
 def in_poly_ideal(

@@ -229,7 +229,7 @@ def reduction_number(
     J * I^k in I^(k+1), and writing I = J + E with E the generators of I not
     among J's gives I^(k+1) = J * I^k + E^(k+1); so the equality is the
     containment of E^(k+1) in J * I^k, tested generator by generator by
-    ``in_poly_ideal``, which forms no cofactor rows.
+    ``in_poly_ideal``, which computes no lift.
     """
     if k_max < 1:
         raise PreconditionError(f"k_max must be positive, got {k_max}")

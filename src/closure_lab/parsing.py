@@ -175,4 +175,7 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     tokens = _tokenize(text)
     if not tokens:
         raise IdealSyntaxError("empty expression", 1, 1)
-    return _Parser(tokens, variables).parse()
+    try:
+        return _Parser(tokens, variables).parse()
+    except RecursionError as exc:
+        raise IdealSyntaxError("expression is nested too deeply") from exc

@@ -90,6 +90,8 @@ def parse_ideal(text: str) -> ParsedIdeal:
         raise IdealSyntaxError(
             f"ideal file is not valid JSON: {exc.msg}", exc.lineno, exc.colno
         ) from exc
+    except RecursionError as exc:
+        raise IdealSyntaxError("ideal file is nested too deeply") from exc
     if not isinstance(raw, dict):
         raise IdealSyntaxError("ideal file must hold a JSON object")
     variables = raw.get("vars")
@@ -124,6 +126,8 @@ def load_ideal(path: str) -> ParsedIdeal:
             text = fh.read()
     except OSError as exc:
         raise IdealSyntaxError(f"cannot read ideal file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IdealSyntaxError(f"ideal file {path} is not UTF-8: {exc}") from exc
     return parse_ideal(text)
 
 

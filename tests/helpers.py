@@ -26,6 +26,7 @@ from closure_lab.errors import (
     PreconditionError,
 )
 from closure_lab.groebner import (
+    GroebnerBasis,
     PolyIdeal,
     poly_ideal_member,
     poly_ideal_power,
@@ -322,6 +323,27 @@ def reference_buchberger(
         tuple(reduced[idx] for idx in presentation),
         tuple(reduced_rows[idx] for idx in presentation),
     )
+
+
+def basis_rows(gb: GroebnerBasis) -> tuple[tuple[Polynomial, ...], ...]:
+    """The cofactor row of each basis element over the generators: the lift
+    of the quotient vector that is one at that element and zero elsewhere."""
+    if not gb.basis:
+        return ()
+    dim, size = gb.basis[0].dim, len(gb.basis)
+    zero, one = Polynomial.zero(dim), Polynomial.one(dim)
+    return tuple(gb.lift([one if m == b else zero for m in range(size)]) for b in range(size))
+
+
+def rows_reproduce_basis(gb: GroebnerBasis) -> bool:
+    """Exactly re-evaluate every basis element from its row in :func:`basis_rows`."""
+    for element, row in zip(gb.basis, basis_rows(gb)):
+        total = Polynomial.zero(element.dim)
+        for quotient, generator in zip(row, gb.generators):
+            total += quotient * generator
+        if total != element:
+            return False
+    return True
 
 
 def cofactor_determinant(matrix: list[list[Polynomial]]) -> Polynomial:

@@ -256,6 +256,69 @@ def test_parse_error_exit_code(ideal_file, capsys):
     assert run_main(capsys, "closure", "/nonexistent/ideal.json")[0] == 2
 
 
+def _nested(depth: int, inner: str = "x") -> str:
+    return "(" * depth + inner + ")" * depth
+
+
+def test_non_utf8_ideal_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"vars": ["x"], "generators": ["x^2"]} \u00e9'.encode("latin-1"))
+    code, _, err = run_main(capsys, "closure", str(path))
+    assert code == 2 and "UTF-8" in err
+
+
+def test_deeply_nested_ideal_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, _, err = run_main(capsys, "closure", str(path))
+    assert code == 2 and "nested" in err
+
+
+def test_deeply_nested_expression_in_a_file_exit_code(ideal_file, capsys):
+    path = ideal_file("parens.json", {"vars": ["x"], "generators": [_nested(300)]})
+    code, _, err = run_main(capsys, "closure", path)
+    assert code == 2 and "nested" in err
+    path = ideal_file("shallow.json", {"vars": ["x"], "generators": [_nested(50, "x^2")]})
+    assert run_main(capsys, "closure", path)[0] == 0
+
+
+def test_deeply_nested_expression_on_the_command_line_exit_code(ideal_file, capsys):
+    path = ideal_file("j.json", X2Y2)
+    code, _, err = run_main(capsys, "member", path, _nested(300))
+    assert code == 2 and "nested" in err
+    assert run_main(capsys, "member", path, _nested(50, "x^2*y"))[0] == 0
+
+
+def test_non_utf8_config_file_exit_code(ideal_file, capsys, tmp_path, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"n_max": 2, "output": "\xe9"}')
+    monkeypatch.setenv("CLOSURE_LAB_CONFIG", str(config))
+    code, _, err = run_main(capsys, "exponents", ideal_file("j.json", X2Y2))
+    assert code == 2 and "UTF-8" in err
+
+
+def test_deeply_nested_config_file_exit_code(ideal_file, capsys, tmp_path, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text('{"n_max": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    monkeypatch.setenv("CLOSURE_LAB_CONFIG", str(config))
+    code, _, err = run_main(capsys, "exponents", ideal_file("j.json", X2Y2))
+    assert code == 2 and "nested" in err
+
+
+def test_config_rejects_booleans(ideal_file, capsys, tmp_path, monkeypatch):
+    path = ideal_file("j.json", X2Y2)
+    config = tmp_path / "config.json"
+    monkeypatch.setenv("CLOSURE_LAB_CONFIG", str(config))
+    fields = ("k_max", "n_max", "generator_cap", "box_point_cap", "spair_cap", "seed")
+    for name in fields:
+        for value in (True, False):
+            config.write_text(json.dumps({name: value}), encoding="utf-8")
+            code, out, err = run_main(capsys, "exponents", path)
+            assert code == 2 and not out and name in err, (name, value)
+    config.write_text(json.dumps({"k_max": True, "n_max": True}), encoding="utf-8")
+    assert run_main(capsys, "exponents", path)[0] == 2
+
+
 def test_cap_overflow_exit_code(ideal_file, capsys):
     path = ideal_file("big.json", {"vars": ["x", "y"], "generators": ["x^9", "y^9"]})
     code, _, err = run_main(capsys, "closure", path, "--box-point-cap", "5")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import threading
+from dataclasses import fields
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement, product
@@ -31,9 +32,11 @@ from closure_lab.parsing import parse_polynomial
 from closure_lab.polynomials import GREVLEX, LEX, Polynomial
 from closure_lab.serialize import load_ideal
 from helpers import (
+    basis_rows,
     poly_ideal_equal,
     random_nonzero_polynomial,
     reference_buchberger,
+    rows_reproduce_basis,
     sheared_general_pair,
 )
 
@@ -68,7 +71,7 @@ def test_buchberger_spair_cap():
 def test_cofactor_rows_reproduce_the_basis():
     gens = (P("x^2 - y"), P("x*y - 1"), P("y^3 + x"))
     gb = buchberger(gens)
-    assert gb.verify_cofactors()
+    assert rows_reproduce_basis(gb)
 
 
 def test_membership_worked_examples():
@@ -183,7 +186,7 @@ def test_equal_ideals_share_one_basis():
 
 def _library_buchberger(gens, order, spair_cap):
     gb = buchberger(gens, order, spair_cap)
-    return gb.basis, gb.cofactors
+    return gb.basis, basis_rows(gb)
 
 
 def _buchberger_outcome(build, gens, order, spair_cap=DEFAULT_SPAIR_CAP):
@@ -237,17 +240,16 @@ def test_buchberger_matches_the_reference_loop_on_reduction_products():
                 ), (seed, k, order, spair_cap)
 
 
-def test_threads_replay_one_shared_basis_alike():
+def test_threads_lift_over_one_shared_basis_alike():
     j_ideal, i_ideal = sheared_general_pair(random.Random(3), extras=2)
     gens = poly_ideal_product(j_ideal, i_ideal).gens
     gb = buchberger(gens, GREVLEX)
-    assert "cofactors" not in vars(gb)
     barrier = threading.Barrier(4)
     seen = []
 
     def read():
         barrier.wait()
-        seen.append(gb.cofactors)
+        seen.append(basis_rows(gb))
 
     threads = [threading.Thread(target=read) for _ in range(4)]
     for thread in threads:
@@ -256,7 +258,53 @@ def test_threads_replay_one_shared_basis_alike():
         thread.join()
     expected = reference_buchberger(gens, GREVLEX)[1]
     assert len(seen) == 4 and all(rows == expected for rows in seen)
-    assert gb.verify_cofactors()
+    assert rows_reproduce_basis(gb)
+
+
+def _lift_cases(seed):
+    """Generator lists of J * I for a sheared pair (homogeneous) and of a
+    random non-homogeneous ideal."""
+    rng = random.Random(seed)
+    j_ideal, i_ideal = sheared_general_pair(rng, extras=rng.randint(1, 2), repeat=seed % 2 == 0)
+    yield rng, poly_ideal_product(j_ideal, i_ideal).gens
+    dim = j_ideal.dim
+    yield rng, tuple(
+        random_nonzero_polynomial(rng, dim, max_terms=3, max_exp=2) for _ in range(3)
+    )
+
+
+def test_lift_is_the_quotient_combination_of_reference_rows():
+    for seed in range(10):
+        for rng, gens in _lift_cases(seed):
+            for order in (GREVLEX, LEX):
+                basis, rows = reference_buchberger(gens, order)
+                dim = gens[0].dim
+                quotients = [
+                    random_nonzero_polynomial(rng, dim, max_terms=2, max_exp=2)
+                    if rng.random() < 0.7
+                    else Polynomial.zero(dim)
+                    for _ in basis
+                ]
+                expected = [Polynomial.zero(dim)] * len(gens)
+                for quotient, row in zip(quotients, rows):
+                    expected = [total + quotient * entry for total, entry in zip(expected, row)]
+                gb = buchberger(gens, order)
+                assert gb.basis == basis, (seed, order)
+                assert gb.lift(quotients) == tuple(expected), (seed, order)
+
+
+def test_zero_element_over_the_zero_ideal_lifts_to_nothing():
+    outcome = poly_ideal_member(Polynomial.zero(2), PolyIdeal(2, ()))
+    assert outcome.member and outcome.generator_quotients == ()
+    assert buchberger(()).lift([]) == ()
+
+
+def test_lift_writes_nothing_on_the_basis():
+    ideal = PolyIdeal(2, (P("x^2 - y"), P("x*y - 1"), P("y^3 + x")))
+    gb = ideal.groebner(GREVLEX)
+    assert poly_ideal_member(P("x^3*y - x^2"), ideal).member
+    basis_rows(gb)
+    assert set(vars(gb)) == {f.name for f in fields(gb)}
 
 
 def _verdict_cases(seed):
@@ -311,14 +359,17 @@ def test_verdict_below_every_generator_degree_builds_no_basis(monkeypatch):
     assert in_poly_ideal(Polynomial.zero(2), ideal)
 
 
-def test_lex_verdict_replays_no_rows():
+def test_lex_verdict_lifts_nothing(monkeypatch):
     # The lex basis of these three generators is small, but its cofactor
     # rows hold tens of thousands of terms with coefficients of hundreds of
-    # digits; a verdict must not form them.
+    # digits; a verdict must not lift.
+    def refuse(*args):
+        raise AssertionError("a verdict lifted")
+
+    monkeypatch.setattr(groebner.GroebnerBasis, "lift", refuse)
     ideal = load_ideal(Path(__file__).resolve().parents[1] / "ideals" / "lex_rows.json").ideal
     x = P("x", ("x", "y", "z"))
     assert not in_poly_ideal(x, ideal, LEX)
-    assert "cofactors" not in vars(ideal.groebner(LEX))
 
 
 def test_power_is_repeated_product():
