@@ -321,7 +321,7 @@ def _cmd_chain_check(args, config: Config) -> int:
 
 def _cmd_witness(args, config: Config) -> int:
     if args.verify:
-        verdict = lab.verify_witness(args.d, config.generator_cap)
+        verdict = lab.verify_witness(args.d)
         payload = serialize.witness_verdict_payload(verdict)
         text = (
             f"witness d={args.d}: integral={verdict.integral}, "
@@ -350,7 +350,7 @@ def _cmd_witness(args, config: Config) -> int:
 def _cmd_lift_bound(args, config: Config) -> int:
     raw = args.constants.strip()
     try:
-        constants = [int(piece) for piece in raw.split(",") if piece.strip() != ""]
+        constants = [int(piece) for piece in raw.split(",")] if raw else []
     except ValueError as exc:
         raise PreconditionError(f"constants must be integers: {exc}") from exc
     bound = lab.nilpotent_lift_bound(args.k, constants)

@@ -56,16 +56,6 @@ def term_order(name: str) -> TermOrder:
     return TermOrder(name)
 
 
-def _exponents(dim: int, exps, what: str) -> ExponentVector:
-    """``exps`` as a validated exponent vector of a ring in ``dim`` variables."""
-    exps = tuple(map(int, exps))
-    if len(exps) != dim:
-        raise DimensionMismatchError(f"{what} has {len(exps)} exponents, expected {dim}")
-    if min(exps) < 0:  # dim >= 1, so exps is not empty
-        raise PreconditionError(f"negative exponent in {what} {exps}")
-    return exps
-
-
 class Polynomial:
     """A sparse polynomial: a map from exponent vectors to nonzero rationals.
 
@@ -81,7 +71,11 @@ class Polynomial:
             raise PreconditionError(f"ambient dimension must be >= 1, got {dim}")
         clean: dict[ExponentVector, Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            exps = _exponents(dim, exps, "term")
+            exps = tuple(map(int, exps))
+            if len(exps) != dim:
+                raise DimensionMismatchError(f"term has {len(exps)} exponents, expected {dim}")
+            if min(exps) < 0:  # dim >= 1, so exps is not empty
+                raise PreconditionError(f"negative exponent in term {exps}")
             coeff = Fraction(coeff)
             if coeff:
                 clean[exps] = coeff
@@ -215,17 +209,6 @@ class Polynomial:
         if not factor:
             return Polynomial.zero(self.dim)
         return Polynomial._trusted(self.dim, {e: c * factor for e, c in self.terms.items()})
-
-    def mul_term(self, exps: ExponentVector, coeff) -> Polynomial:
-        """The product with the monomial ``coeff * x^exps``."""
-        exps = _exponents(self.dim, exps, "monomial")
-        coeff = Fraction(coeff)
-        if not coeff:
-            return Polynomial.zero(self.dim)
-        return Polynomial._trusted(
-            self.dim,
-            {tuple(a + b for a, b in zip(e, exps)): c * coeff for e, c in self.terms.items()},
-        )
 
     def __pow__(self, exponent: int) -> Polynomial:
         if exponent < 0:

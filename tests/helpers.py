@@ -34,6 +34,7 @@ from closure_lab.groebner import (
     to_poly_ideal,
 )
 from closure_lab.integrality import NotUpTo, ReductionWitness
+from closure_lab.lab import witness_pair
 from closure_lab.monomials import (
     ExponentVector,
     MonomialIdeal,
@@ -183,7 +184,7 @@ def reference_normal_form(
                 shift = tuple(b - a for a, b in zip(lead_exps, exps))
                 factor = coeff / lead_coeff
                 quotients[i] += Polynomial.monomial(f.dim, shift, factor)
-                current = current - divisors[i].mul_term(shift, factor)
+                current = current - divisors[i] * Polynomial.monomial(f.dim, shift, factor)
                 break
         else:
             lead = Polynomial.monomial(f.dim, exps, coeff)
@@ -275,11 +276,10 @@ def reference_buchberger(
         pair_lcm = _lcm(lms[i], lms[j])
         shift_i = tuple(a - b for a, b in zip(pair_lcm, lms[i]))
         shift_j = tuple(a - b for a, b in zip(pair_lcm, lms[j]))
-        spoly = basis[i].mul_term(shift_i, 1) - basis[j].mul_term(shift_j, 1)
-        srow = [
-            rows[i][k].mul_term(shift_i, 1) - rows[j][k].mul_term(shift_j, 1)
-            for k in range(count)
-        ]
+        lift_i = Polynomial.monomial(dim, shift_i)
+        lift_j = Polynomial.monomial(dim, shift_j)
+        spoly = basis[i] * lift_i - basis[j] * lift_j
+        srow = [rows[i][k] * lift_i - rows[j][k] * lift_j for k in range(count)]
         remainder, quotients = normal_form(spoly, basis, order)
         if remainder.is_zero:
             continue
@@ -446,6 +446,13 @@ def iterated_product(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     for _ in range(n):
         result = ideal_product(result, ideal)
     return result
+
+
+def witness_power_not_contained(d: int) -> bool:
+    """Check (c) of the witness pair the long way: build all of I^(d-1) and
+    look for a generator outside J. At d = 7, I^6 has 18,564 generators."""
+    pair = witness_pair(d)
+    return not reference_ideal_contains(pair.j_ideal, ideal_power(pair.i_ideal, d - 1))
 
 
 def reference_ideal_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:

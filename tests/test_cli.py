@@ -239,6 +239,16 @@ def test_checks_and_witness(ideal_file, capsys):
     assert json.loads(out)["I"]["generators"] == ["x1^2", "x1*x2", "x2^2"]
 
 
+def test_witness_verify_builds_no_power(capsys):
+    # (c) cites one product of d - 1 generators of I, so the generator cap
+    # does not bound it and I^7 (116,280 generators) is never built at d = 8
+    code, out, _ = run_main(capsys, "witness", "3", "--verify", "--generator-cap", "5")
+    assert code == 0 and out.strip().endswith("-> pass")
+    code, out, _ = run_main(capsys, "witness", "8", "--verify", "--json")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_lift_bound(capsys):
     code, out, _ = run_main(capsys, "lift-bound", "2", "3,4", "--json")
     assert code == 0
@@ -247,6 +257,14 @@ def test_lift_bound(capsys):
     assert code == 0
     assert json.loads(out)["bound"] == 0
     assert run_main(capsys, "lift-bound", "1", "x")[0] == 2
+
+
+def test_lift_bound_rejects_empty_constants(capsys):
+    code, out, _ = run_main(capsys, "lift-bound", "2", "  ")
+    assert (code, out) == (0, "lift bound: 2\n")
+    for constants in ("1,,2", ",", "3,"):
+        code, out, err = run_main(capsys, "lift-bound", "2", constants)
+        assert code == 2 and out == "" and "constants must be integers" in err
 
 
 def test_parse_error_exit_code(ideal_file, capsys):

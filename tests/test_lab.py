@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from closure_lab import monomials
+from closure_lab import lab, monomials
 from closure_lab.config import DEFAULT_GENERATOR_CAP
 from closure_lab.errors import PreconditionError
 from closure_lab.lab import (
@@ -20,7 +20,7 @@ from closure_lab.lab import (
 )
 from closure_lab.monomials import ideal_power, ideal_product, unit_ideal, zero_ideal
 from closure_lab.newton import closure
-from helpers import mono
+from helpers import mono, witness_power_not_contained
 
 
 def rows_as_tuples(report):
@@ -80,6 +80,23 @@ def test_witness_verdicts_pass(d):
     assert verdict.power_not_contained
     assert verdict.passed
     assert verdict.diagonal == (d - 1,) * d
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_witness_check_c_agrees_with_the_power_oracle(d):
+    # at d = 7 the oracle builds I^6, 18,564 generators, through the trie
+    assert verify_witness(d).power_not_contained == witness_power_not_contained(d)
+
+
+def test_verify_witness_builds_no_power(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify_witness built a power or a product ideal")
+
+    monkeypatch.setattr(lab, "ideal_power", forbidden)
+    monkeypatch.setattr(lab, "ideal_contains", forbidden)
+    monkeypatch.setattr(monomials, "ideal_product", forbidden)
+    for d in (2, 8, 16):
+        assert verify_witness(d).passed
 
 
 def test_lipman_sathaye_worked_examples():

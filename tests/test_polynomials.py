@@ -177,7 +177,7 @@ def test_arithmetic_results_keep_the_constructor_invariant(seed, dim):
     pool.append(Polynomial.zero(dim))
     for _ in range(8):
         a, b = rng.choice(pool), rng.choice(pool)
-        op = rng.choice(("add", "sub", "mul", "scale", "mul_term", "pow", "normal_form"))
+        op = rng.choice(("add", "sub", "mul", "scale", "pow", "normal_form"))
         if op == "add":
             results = [a + b, a + (-a)]
         elif op == "sub":
@@ -186,9 +186,6 @@ def test_arithmetic_results_keep_the_constructor_invariant(seed, dim):
             results = [a * b]
         elif op == "scale":
             results = [a.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))]
-        elif op == "mul_term":
-            shift = tuple(rng.randint(0, 2) for _ in range(dim))
-            results = [a.mul_term(shift, rng.randint(-2, 2))]
         elif op == "pow":
             results = [a ** rng.randint(0, 2)]
         else:
@@ -203,7 +200,7 @@ def test_arithmetic_results_keep_the_constructor_invariant(seed, dim):
         pool.extend(r for r in results if r.total_degree() <= 8 and len(r.terms) <= 12)
 
 
-def test_constructor_and_mul_term_still_reject_bad_exponents():
+def test_constructor_still_rejects_bad_exponents():
     with pytest.raises(DimensionMismatchError):
         Polynomial(2, {(1, 0, 0): Fraction(0)})
     with pytest.raises(PreconditionError):
@@ -211,11 +208,3 @@ def test_constructor_and_mul_term_still_reject_bad_exponents():
     with pytest.raises(PreconditionError):
         Polynomial(0)
     assert Polynomial(2, {(True, 2.0): 3}).terms == {(1, 2): Fraction(3)}
-    x = Polynomial.variable(2, 0)
-    with pytest.raises(DimensionMismatchError):
-        x.mul_term((1,), 1)
-    with pytest.raises(DimensionMismatchError):
-        x.mul_term((1, 0, 0), 1)
-    with pytest.raises(PreconditionError):
-        x.mul_term((-1, 0), 1)
-    assert x.mul_term((0, 2), 3) == Polynomial.monomial(2, (1, 2), 3)
