@@ -47,7 +47,6 @@ from .monomials import (
     MonomialIdeal,
     ideal_contains,
     ideal_product,
-    unit_ideal,
 )
 from .newton import closure_member, polyhedron_of
 from .polynomials import GREVLEX, Polynomial, TermOrder, exact_quotient
@@ -224,12 +223,13 @@ def reduction_number(
     """Least k <= k_max with I^(k+1) = J * I^k, each equality checked exactly.
 
     Requires J to be a subideal of I; a generator of J that is literally a
-    generator of I needs no membership test. Monomial inputs use canonical
-    minimal-generator equality. For anything else, J in I gives
-    J * I^k in I^(k+1), and writing I = J + E with E the generators of I not
-    among J's gives I^(k+1) = J * I^k + E^(k+1); so the equality is the
-    containment of E^(k+1) in J * I^k, tested generator by generator by
-    ``in_poly_ideal``, which computes no lift.
+    generator of I needs no membership test. Writing I = J + E, with E the
+    generators of I not among J's, then gives I^(k+1) = J * I^k + E^(k+1),
+    so for both kinds of input the test is E^(k+1) in J * I^k: by
+    ``ideal_contains`` for monomials, else generator by generator by
+    ``in_poly_ideal``, which computes no lift. J * I^k is grown from the
+    product below and E^(k+1) from E^k, so no power of I is built, and
+    ``generator_cap`` bounds those two.
     """
     if k_max < 1:
         raise PreconditionError(f"k_max must be positive, got {k_max}")
@@ -238,12 +238,16 @@ def reduction_number(
     if isinstance(j_ideal, MonomialIdeal) and isinstance(i_ideal, MonomialIdeal):
         if not ideal_contains(i_ideal, j_ideal):
             raise PreconditionError("J must be contained in I")
-        current = unit_ideal(i_ideal.dim)  # I^0
+        extra = MonomialIdeal._from_valid(
+            i_ideal.dim, (g for g in i_ideal.gens if g not in j_ideal.gens)
+        )
+        product, extra_power = j_ideal, extra
         for k in range(k_max + 1):
-            next_power = ideal_product(i_ideal, current, generator_cap)
-            if next_power == ideal_product(j_ideal, current, generator_cap):
+            if k:
+                product = ideal_product(product, i_ideal, generator_cap)  # J * I^k
+                extra_power = ideal_product(extra_power, extra, generator_cap)
+            if ideal_contains(product, extra_power):
                 return ReductionWitness(k)
-            current = next_power
         return NotUpTo(k_max)
 
     j_poly = to_poly_ideal(j_ideal)
@@ -256,12 +260,11 @@ def reduction_number(
         if not in_poly_ideal(g, i_poly, order, spair_cap):
             raise PreconditionError("J must be contained in I")
     extra = PolyIdeal(i_poly.dim, tuple(g for g in i_poly.gens if g not in j_poly.gens))
-    current = extra_power = poly_ideal_power(i_poly, 0)  # I^0 = E^0 = (1)
+    product, extra_power = j_poly, extra
     for k in range(k_max + 1):
         if k:
-            current = poly_ideal_product(i_poly, current, generator_cap)  # I^k
-        product = poly_ideal_product(j_poly, current, generator_cap)
-        extra_power = poly_ideal_product(extra, extra_power, generator_cap)
+            product = poly_ideal_product(product, i_poly, generator_cap)  # J * I^k
+            extra_power = poly_ideal_product(extra_power, extra, generator_cap)
         if all(in_poly_ideal(e, product, order, spair_cap) for e in extra_power.gens):
             return ReductionWitness(k)
     return NotUpTo(k_max)

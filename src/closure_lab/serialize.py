@@ -247,23 +247,35 @@ def witness_verdict_payload(verdict: WitnessVerdict) -> dict:
     }
 
 
+# The columns of a sample-suite row, in its JSON and its CSV alike.
+_SUITE_FIELDS = (
+    "trial",
+    "dim",
+    "ideal_id",
+    "chain_ok",
+    "shifted_ok",
+    "k_bar",
+    "k_cl",
+    "bound_ok",
+    "integrality_agree",
+)
+
+
 def suite_payload(report: SuiteReport) -> dict:
     rows = []
     for result in report.results:
-        variables = default_variables(result.dim)
-        rows.append(
-            {
-                "trial": result.index,
-                "dim": result.dim,
-                "ideal_id": ideal_id(result.ideal, variables),
-                "chain_ok": result.chain_ok,
-                "shifted_ok": result.shifted_ok,
-                "k_bar": result.k_bar,
-                "k_cl": result.k_cl,
-                "bound_ok": result.bound_ok,
-                "integrality_agree": result.integrality_agree,
-            }
+        values = (
+            result.index,
+            result.dim,
+            ideal_id(result.ideal, default_variables(result.dim)),
+            result.chain_ok,
+            result.shifted_ok,
+            result.k_bar,
+            result.k_cl,
+            result.bound_ok,
+            result.integrality_agree,
         )
+        rows.append(dict(zip(_SUITE_FIELDS, values)))
     return {
         "seed": report.seed,
         "trials": report.trials,
@@ -277,32 +289,6 @@ def suite_payload(report: SuiteReport) -> dict:
 def suite_csv(report: SuiteReport) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        [
-            "trial",
-            "dim",
-            "ideal_id",
-            "chain_ok",
-            "shifted_ok",
-            "k_bar",
-            "k_cl",
-            "bound_ok",
-            "integrality_agree",
-        ]
-    )
-    for result in report.results:
-        variables = default_variables(result.dim)
-        writer.writerow(
-            [
-                result.index,
-                result.dim,
-                ideal_id(result.ideal, variables),
-                result.chain_ok,
-                result.shifted_ok,
-                result.k_bar,
-                result.k_cl,
-                result.bound_ok,
-                result.integrality_agree,
-            ]
-        )
+    writer.writerow(_SUITE_FIELDS)
+    writer.writerows(row.values() for row in suite_payload(report)["results"])
     return buffer.getvalue()

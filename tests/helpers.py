@@ -142,9 +142,20 @@ def poly_ideal_equal(
 
 
 def equality_reduction_number(j_ideal, i_ideal, k_max: int):
-    """Reference reduction number of general ideals: the least k <= k_max with
-    I^(k+1) = J * I^k, each equality decided by comparing the reduced
-    Groebner bases of both sides (two bases per k)."""
+    """Reference reduction number: the least k <= k_max with
+    I^(k+1) = J * I^k, each equality decided by building both sides from the
+    power I^k. Monomial pairs compare canonical minimal generators; others
+    compare the reduced Groebner bases of both sides (two bases per k)."""
+    if isinstance(j_ideal, MonomialIdeal) and isinstance(i_ideal, MonomialIdeal):
+        if not reference_ideal_contains(i_ideal, j_ideal):
+            raise PreconditionError("J must be contained in I")
+        current = unit_ideal(i_ideal.dim)  # I^0
+        for k in range(k_max + 1):
+            next_power = ideal_product(i_ideal, current)
+            if next_power == ideal_product(j_ideal, current):
+                return ReductionWitness(k)
+            current = next_power
+        return NotUpTo(k_max)
     j_poly = to_poly_ideal(j_ideal)
     i_poly = to_poly_ideal(i_ideal)
     for g in j_poly.gens:

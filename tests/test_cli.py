@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -210,6 +212,21 @@ def test_reduction_number_exit_codes(ideal_file, capsys):
     assert code == 1 and json.loads(out) == {"not_up_to": 4}
 
 
+def test_reduction_number_cap_bounds_the_products_it_builds(ideal_file, capsys):
+    # J * I^4 = x^3*y * (x^4, x^3*y)^4 has 5 minimal generators and E^5 = (x^20)
+    # has 1; I^5, which the search does not build, would have 6.
+    j_path = ideal_file("j.json", {"vars": ["x", "y"], "generators": ["x^3*y"]})
+    i_path = ideal_file("i.json", {"vars": ["x", "y"], "generators": ["x^4", "x^3*y"]})
+    code, out, _ = run_main(
+        capsys, "reduction-number", j_path, i_path, "--k-max", "4", "--generator-cap", "5"
+    )
+    assert code == 1 and out == "no reduction exponent up to 4\n"
+    code, _, err = run_main(
+        capsys, "reduction-number", j_path, i_path, "--k-max", "4", "--generator-cap", "4"
+    )
+    assert code == 3 and "cap is 4" in err
+
+
 def test_exponents_formats(ideal_file, capsys):
     path = ideal_file("j.json", X2Y2)
     code, out, _ = run_main(capsys, "exponents", path, "--n-max", "2", "--json")
@@ -392,12 +409,17 @@ def test_sample_suite_deterministic_bytes():
 
 
 def test_sample_suite_csv(capsys):
-    code, out, _ = run_main(
-        capsys, "sample-suite", "--trials", "2", "--seed", "5", "--n-max", "2", "--output", "csv"
-    )
+    args = ("sample-suite", "--trials", "4", "--seed", "5", "--n-max", "2")
+    code, out, _ = run_main(capsys, *args, "--output", "csv")
     assert code == 0
-    header = out.splitlines()[0]
-    assert header.startswith("trial,dim,ideal_id,chain_ok")
+    header, *rows = csv.reader(io.StringIO(out))
+    assert ",".join(header).startswith("trial,dim,ideal_id,chain_ok")
+    code, out, _ = run_main(capsys, *args, "--json")
+    assert code == 0
+    json_rows = json.loads(out)["results"]
+    assert len(rows) == len(json_rows) == 4
+    for row, json_row in zip(rows, json_rows):
+        assert dict(zip(header, row)) == {key: str(value) for key, value in json_row.items()}
 
 
 def test_certify_scaled_monomial_element(ideal_file, capsys):

@@ -219,19 +219,20 @@ def test_buchberger_matches_the_reference_loop(gens, order, spair_cap):
 
 
 def test_buchberger_matches_the_reference_loop_on_reduction_products():
-    # The generator lists of J * I^k that reduction_number hands to buchberger;
-    # the small caps stop both loops part way, where the queue lengths differ
-    # if either loop keeps a pair the other prunes.
+    # The generator lists of J * I^k that reduction_number hands to buchberger,
+    # each grown from the one below as (J * I^(k-1)) * I; the small caps stop
+    # both loops part way, where the queue lengths differ if either loop
+    # keeps a pair the other prunes.
     for seed in range(25):
         rng = random.Random(seed)
         j_ideal, i_ideal = sheared_general_pair(
             rng, extras=rng.randint(1, 2), repeat=seed % 2 == 0
         )
-        power = unit_poly_ideal(i_ideal.dim)
+        j_times_i_k = j_ideal
         for k in range(3):
             if k:
-                power = poly_ideal_product(i_ideal, power)
-            gens = poly_ideal_product(j_ideal, power).gens
+                j_times_i_k = poly_ideal_product(j_times_i_k, i_ideal)
+            gens = j_times_i_k.gens
             for order, spair_cap in product((GREVLEX, LEX), (1, 6, DEFAULT_SPAIR_CAP)):
                 assert _buchberger_outcome(
                     _library_buchberger, gens, order, spair_cap

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from closure_lab.errors import InstanceTooLargeError, PreconditionError
-from closure_lab import groebner, monomials
+from closure_lab import groebner, integrality, monomials
 from closure_lab.groebner import PolyIdeal, poly_ideal_power, poly_ideal_sum, to_poly_ideal
 from closure_lab.integrality import (
     DET_SIZE_CAP,
@@ -132,6 +132,73 @@ def test_reduction_number_agrees_with_equality_oracle_on_seeded_pairs():
 def test_reduction_number_agrees_with_equality_oracle(seed, kind):
     j_poly, i_poly = sheared_general_pair(random.Random(seed), *kind)
     assert reduction_number(j_poly, i_poly, 2) == equality_reduction_number(j_poly, i_poly, 2)
+
+
+def _sample_suite_pair(rng):
+    """A pair J in I drawn as sample-suite draws it: J proper and nonzero in
+    2 or 3 variables, I = J + (0-2 extra monomials with exponents <= 6)."""
+    dim = rng.choice((2, 3))
+    j_ideal = random_monomial_ideal(rng, dim)
+    extras = [tuple(rng.randint(0, 6) for _ in range(dim)) for _ in range(rng.randint(0, 2))]
+    return j_ideal, ideal_sum(j_ideal, minimalize(dim, extras))
+
+
+@pytest.mark.parametrize("k_max", [4, 10])
+def test_monomial_reduction_number_agrees_with_equality_oracle(k_max):
+    outcomes = set()
+    for seed in range(200):
+        j_ideal, i_ideal = _sample_suite_pair(random.Random(seed))
+        expected = equality_reduction_number(j_ideal, i_ideal, k_max)
+        assert reduction_number(j_ideal, i_ideal, k_max) == expected, seed
+        outcomes.add(type(expected))
+    assert outcomes == {ReductionWitness, NotUpTo}
+
+
+@pytest.mark.parametrize(
+    "j_ideal, i_ideal",
+    [
+        (J22, J22),  # J = I answers k = 0
+        (zero_ideal(2), I22),
+        (zero_ideal(2), zero_ideal(2)),
+        (mono(2, (2, 0)), mono(2, (1, 0))),  # (x^2) in (x)
+        (mono(2, (1, 0)), unit_ideal(2)),  # a proper J in the unit ideal
+    ],
+)
+def test_monomial_reduction_number_edge_cases(j_ideal, i_ideal):
+    expected = equality_reduction_number(j_ideal, i_ideal, 5)
+    assert reduction_number(j_ideal, i_ideal, 5) == expected
+    assert reduction_number(to_poly_ideal(j_ideal), to_poly_ideal(i_ideal), 5) == expected
+
+
+def test_reduction_search_multiplies_the_product_below_and_builds_no_power_of_i(monkeypatch):
+    # Each step multiplies J * I^(k-1) by I and E^k by E, E the generators of
+    # I not among J's, so I is never a first factor.
+    monomial = [(J22, I22), (mono(2, (3, 1)), mono(2, (4, 0), (3, 1)))]  # k = 1, none
+    pairs = [
+        *monomial,
+        *((to_poly_ideal(j), to_poly_ideal(i)) for j, i in monomial),
+        sheared_general_pair(random.Random(2), 1, True),  # none up to k_max
+    ]
+    calls = []
+
+    def recording(kernel):
+        def wrapped(a, b, *args):
+            calls.append((a, b))
+            return kernel(a, b, *args)
+
+        return wrapped
+
+    monkeypatch.setattr(integrality, "ideal_product", recording(integrality.ideal_product))
+    monkeypatch.setattr(
+        integrality, "poly_ideal_product", recording(integrality.poly_ideal_product)
+    )
+    for j_ideal, i_ideal in pairs:
+        extras = tuple(g for g in i_ideal.gens if g not in j_ideal.gens)
+        extra = type(i_ideal)(i_ideal.dim, extras)
+        calls.clear()
+        reduction_number(j_ideal, i_ideal, 4)
+        assert calls
+        assert all(a != i_ideal and (b == i_ideal or b == extra) for a, b in calls)
 
 
 # -- integrality of ideals -----------------------------------------------------

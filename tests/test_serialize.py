@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from closure_lab.errors import IdealSyntaxError
 from closure_lab.groebner import PolyIdeal
-from closure_lab.lab import random_monomial_ideal, uniform_exponents
+from closure_lab.lab import SuiteReport, random_monomial_ideal, uniform_exponents
 from closure_lab.monomials import MonomialIdeal
 from closure_lab.parsing import parse_polynomial
 from closure_lab.serialize import (
@@ -17,6 +17,7 @@ from closure_lab.serialize import (
     format_polynomial,
     ideal_payload,
     parse_ideal,
+    suite_csv,
 )
 from helpers import mono, random_polynomial
 
@@ -104,3 +105,9 @@ def test_exponent_report_csv_columns():
     assert lines[0] == "ideal_id,n,s_bar,s_closure,k_bar,k_cl"
     assert lines[1] == "x^2;y^2,1,0,0,1,1"
     assert lines[2] == "x^2;y^2,2,1,1,1,1"
+
+
+def test_suite_csv_of_an_empty_report_is_its_header():
+    assert suite_csv(SuiteReport(0, 0, 3, ())) == (
+        "trial,dim,ideal_id,chain_ok,shifted_ok,k_bar,k_cl,bound_ok,integrality_agree\n"
+    )
