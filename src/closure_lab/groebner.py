@@ -11,8 +11,9 @@ Pair bookkeeping uses the Gebauer-Moeller update, which implements the
 product and chain criteria for skipping predictably useless S-pairs; each
 pending pair keeps the lcm of its two leads from the moment it is made.
 
-The power of a general ideal is a chain of products, so A^n has the
-generators, in the same order, of the A * A^(n-1) that callers build.
+The power of a general ideal is the chain of products A * A^(n-1). In the
+library only the determinant-trick certificate builds one: the generators
+of I^k that its matrix acts on.
 """
 
 from __future__ import annotations
@@ -212,8 +213,8 @@ class PolyIdeal:
         return _cached_buchberger(self.gens, order, spair_cap)
 
 
-# Reduction search, certificate construction and verification rebuild the
-# same generator tuples as fresh ideals; 16 entries catch those repeats.
+# Reduction search and certificate construction rebuild the same generator
+# tuples as fresh ideals; 16 entries catch those repeats.
 @lru_cache(maxsize=16)
 def _cached_buchberger(
     gens: tuple[Polynomial, ...], order: TermOrder, spair_cap: int

@@ -14,10 +14,11 @@ extracts two kinds of explicit certificates:
   expand det(t * Id - matrix), which vanishes at the element because the
   ambient polynomial ring is a domain.
 
-Each proof that a_i lies in J^i cites the generators of J^i it uses as
-multisets of indices into J's generators, so a certificate is re-checked by
-multiplying the cited generators out; neither building nor checking one
-forms a power of J or a Groebner basis of one.
+A certificate keeps, for each a_i, only multisets of i indices into J's
+generators and one multiplier per multiset. Its degree, its coefficients
+and the products it cites are computed from those, so a certificate is
+re-checked by multiplying them out over J's generators; neither building
+nor checking one forms a power of J or a Groebner basis of one.
 """
 
 from __future__ import annotations
@@ -111,54 +112,53 @@ def unknown(k_max: int) -> TriState:
 
 @dataclass(frozen=True)
 class MembershipProof:
-    """A coefficient written as a combination of products of J's generators.
+    """A coefficient a_i written as a combination of products of J's generators.
 
-    ``factors[g]`` is the multiset of indices into J's generators whose
-    product is ``generators[g]``, so every listed generator lies in J^power
-    by construction; ``quotients[g]`` is its multiplier. A zero coefficient
-    is witnessed by the empty combination.
+    ``factors[g]`` is a multiset of i indices into J's generators, so its
+    product lies in J^i by construction; ``quotients[g]`` is its multiplier.
+    A zero coefficient is witnessed by the empty combination.
     """
 
-    power: int
-    generators: tuple[Polynomial, ...]
+    factors: tuple[tuple[int, ...], ...]
     quotients: tuple[Polynomial, ...]
-    factors: tuple[tuple[int, ...], ...] = ()
 
-    def value(self, dim: int) -> Polynomial:
-        """sum(quotient * generator) in the ring of ``dim`` variables."""
-        total = Polynomial.zero(dim)
-        for quotient, generator in zip(self.quotients, self.generators):
-            total += quotient * generator
-        return total
-
-    def evaluates_to(self, target: Polynomial) -> bool:
-        return len(self.generators) == len(self.quotients) and self.value(target.dim) == target
-
-    def cites(self, base: tuple[Polynomial, ...]) -> bool:
-        """Whether each generator is the product of the ``power`` generators
-        of ``base`` that its factor multiset names."""
-        return len(self.factors) == len(self.generators) and all(
-            len(factor) == self.power
-            and all(0 <= q < len(base) for q in factor)
-            and prod((base[q] for q in factor), start=Polynomial.one(generator.dim)) == generator
-            for factor, generator in zip(self.factors, self.generators)
+    def products(self, base: PolyIdeal) -> tuple[Polynomial, ...]:
+        """The cited products, one per multiset, of ``base``'s generators."""
+        one = Polynomial.one(base.dim)
+        return tuple(
+            prod(map(base.gens.__getitem__, factor), start=one) for factor in self.factors
         )
+
+    def value(self, base: PolyIdeal) -> Polynomial:
+        """sum(quotient * cited product) over ``base``'s generators."""
+        total = Polynomial.zero(base.dim)
+        for quotient, product in zip(self.quotients, self.products(base)):
+            total += quotient * product
+        return total
 
 
 @dataclass(frozen=True)
 class IntegralityCertificate:
-    """A monic equation t^n + a_1 t^(n-1) + ... + a_n = 0 satisfied by element,
-    with an exact membership proof of a_i in J^i for every i."""
+    """A monic equation t^n + a_1 t^(n-1) + ... + a_n = 0 satisfied by element:
+    ``proofs[i-1]`` writes a_i over the generators of J, so n is the number
+    of proofs and every coefficient is multiplied out from its proof."""
 
     element: Polynomial
-    degree: int
-    coefficients: tuple[Polynomial, ...]
     proofs: tuple[MembershipProof, ...]
 
-    def equation_value(self) -> Polynomial:
+    @property
+    def degree(self) -> int:
+        return len(self.proofs)
+
+    def coefficients(self, ideal: Ideal) -> tuple[Polynomial, ...]:
+        """a_1, ..., a_n, each multiplied out over the generators of J."""
+        base = to_poly_ideal(ideal)
+        return tuple(proof.value(base) for proof in self.proofs)
+
+    def equation_value(self, ideal: Ideal) -> Polynomial:
         """element^n + sum(a_i * element^(n-i)); zero iff the equation holds."""
         total = self.element ** self.degree
-        for i, coeff in enumerate(self.coefficients, start=1):
+        for i, coeff in enumerate(self.coefficients(ideal), start=1):
             if not coeff.is_zero:
                 total += coeff * self.element ** (self.degree - i)
         return total
@@ -170,43 +170,24 @@ class IntegralityCertificate:
         factor = Fraction(factor)
         if not factor:
             raise PreconditionError("the scaling factor must be nonzero")
-        coefficients = tuple(
-            coeff.scale(factor ** i)
-            for i, coeff in enumerate(self.coefficients, start=1)
-        )
         proofs = tuple(
-            MembershipProof(
-                proof.power,
-                proof.generators,
-                tuple(q.scale(factor ** proof.power) for q in proof.quotients),
-                proof.factors,
-            )
-            for proof in self.proofs
+            MembershipProof(proof.factors, tuple(q.scale(factor ** i) for q in proof.quotients))
+            for i, proof in enumerate(self.proofs, start=1)
         )
-        return IntegralityCertificate(
-            self.element.scale(factor), self.degree, coefficients, proofs
-        )
+        return IntegralityCertificate(self.element.scale(factor), proofs)
 
-    def verify(self, ideal: Ideal | None = None) -> bool:
-        """Exact re-verification by multiplying out: the equation vanishes,
-        every proof re-evaluates, and (when the base ideal is supplied) every
-        proof generator is the product its factor multiset cites. No ideal
-        power and no Groebner basis is built."""
-        if self.degree < 1 or len(self.coefficients) != self.degree:
-            return False
-        if len(self.proofs) != self.degree:
-            return False
-        if not self.equation_value().is_zero:
-            return False
-        base = None if ideal is None else to_poly_ideal(ideal).gens
-        for i, (coeff, proof) in enumerate(zip(self.coefficients, self.proofs), start=1):
-            if proof.power != i:
+    def verify(self, ideal: Ideal) -> bool:
+        """Exact re-verification over J's generators: the i-th proof cites
+        multisets of i valid indices, and the equation, multiplied out,
+        vanishes. No ideal power and no Groebner basis is built."""
+        base = to_poly_ideal(ideal)
+        for i, proof in enumerate(self.proofs, start=1):
+            if len(proof.factors) != len(proof.quotients):
                 return False
-            if not proof.evaluates_to(coeff):
-                return False
-            if base is not None and not proof.cites(base):
-                return False
-        return True
+            for factor in proof.factors:
+                if len(factor) != i or not all(0 <= q < len(base.gens) for q in factor):
+                    return False
+        return self.equation_value(base).is_zero
 
 
 # -- reduction detection ------------------------------------------------------
@@ -364,19 +345,9 @@ def monomial_certificate(m: ExponentVector, j_ideal: MonomialIdeal) -> Integrali
     shift = tuple(a - b for a, b in zip(target, product))
     if min(shift) < 0:
         raise InvariantViolationError("scaled monomial escaped the cited product")
-    final_proof = MembershipProof(
-        degree,
-        (Polynomial.monomial(dim, product),),
-        (Polynomial.monomial(dim, shift, -1),),
-        (factor,),
-    )
-    coefficients = tuple(
-        Polynomial.zero(dim) for _ in range(degree - 1)
-    ) + (Polynomial.monomial(dim, target, -1),)
-    proofs = tuple(
-        MembershipProof(i, (), ()) for i in range(1, degree)
-    ) + (final_proof,)
-    return IntegralityCertificate(element, degree, coefficients, proofs)
+    empty = MembershipProof((), ())
+    final_proof = MembershipProof((factor,), (Polynomial.monomial(dim, shift, -1),))
+    return IntegralityCertificate(element, (empty,) * (degree - 1) + (final_proof,))
 
 
 def bareiss_determinant(matrix: list[list[Polynomial]]) -> Polynomial:
@@ -500,22 +471,15 @@ def cramer_certificate(
         forms.setdefault(i, {}).setdefault(factor, {})[exps[:dim]] = coeff
     if forms.get(0) != {(): {(0,) * dim: Fraction(1)}}:
         raise InvariantViolationError("characteristic polynomial is not monic")
-    one = Polynomial.one(dim)
     proofs = []
     for i in range(1, count + 1):
         form = forms.get(i, {})
         factors = tuple(sorted(form))
         proofs.append(
-            MembershipProof(
-                i,
-                tuple(prod(map(j_poly.gens.__getitem__, c), start=one) for c in factors),
-                tuple(Polynomial._trusted(dim, form[c]) for c in factors),
-                factors,
-            )
+            MembershipProof(factors, tuple(Polynomial._trusted(dim, form[c]) for c in factors))
         )
     # Substituting y_q -> q turns each form into a_i.
-    coefficients = tuple(proof.value(dim) for proof in proofs)
-    certificate = IntegralityCertificate(f, count, coefficients, tuple(proofs))
-    if not certificate.equation_value().is_zero:
+    certificate = IntegralityCertificate(f, tuple(proofs))
+    if not certificate.equation_value(j_poly).is_zero:
         raise InvariantViolationError("characteristic polynomial does not vanish at f")
     return certificate

@@ -125,10 +125,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return len(self.gens) == 1 and not any(self.gens[0])
 
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
-
     def __str__(self) -> str:
         if self.is_zero:
             return "(0)"

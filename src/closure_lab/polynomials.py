@@ -137,11 +137,6 @@ class Polynomial:
             cached = self._lead = (order, exps, self.terms[exps])
         return cached[1:]
 
-    def total_degree(self) -> int:
-        if self.is_zero:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def sorted_terms(self, order: TermOrder = GREVLEX) -> list[tuple[ExponentVector, Fraction]]:
         return [(e, self.terms[e]) for e in sorted(self.terms, key=order.key, reverse=True)]
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import IdealSyntaxError
-from .groebner import PolyIdeal
+from .groebner import PolyIdeal, to_poly_ideal
 from .integrality import IntegralityCertificate, MembershipProof
 from .lab import ShiftedContainmentReport, SuiteReport, UniformExponentReport, WitnessVerdict
 from .monomials import ExponentVector, MonomialIdeal
@@ -155,11 +155,13 @@ def default_variables(dim: int) -> tuple[str, ...]:
 # -- certificates ---------------------------------------------------------------
 
 
-def _proof_payload(proof: MembershipProof, variables: Sequence[str]) -> dict:
+def _proof_payload(
+    power: int, proof: MembershipProof, base: PolyIdeal, variables: Sequence[str]
+) -> dict:
     return {
-        "power": proof.power,
+        "power": power,
         "factors": [list(factor) for factor in proof.factors],
-        "generators": [format_polynomial(g, variables) for g in proof.generators],
+        "generators": [format_polynomial(g, variables) for g in proof.products(base)],
         "quotients": [format_polynomial(q, variables) for q in proof.quotients],
     }
 
@@ -170,15 +172,20 @@ def certificate_payload(
     variables: Sequence[str],
 ) -> dict:
     """The certificate with ``base``, the generators of J in the order the
-    proofs' factor indices refer to."""
+    proofs' factor indices refer to; the coefficients and each proof's
+    generators are its multisets multiplied out over ``base``."""
+    j_poly = to_poly_ideal(base)
     return {
         "base": generator_strings(base, variables),
         "element": format_polynomial(certificate.element, variables),
         "n": certificate.degree,
         "coefficients": [
-            format_polynomial(c, variables) for c in certificate.coefficients
+            format_polynomial(c, variables) for c in certificate.coefficients(j_poly)
         ],
-        "memberships": [_proof_payload(p, variables) for p in certificate.proofs],
+        "memberships": [
+            _proof_payload(i, p, j_poly, variables)
+            for i, p in enumerate(certificate.proofs, start=1)
+        ],
     }
 
 

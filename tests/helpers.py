@@ -376,38 +376,42 @@ def cofactor_determinant(matrix: list[list[Polynomial]]) -> Polynomial:
 
 def reference_verify(certificate, ideal) -> bool:
     """Re-verification by ideal membership, sharing no code with the
-    certificate's own check: the equation vanishes at the element, each
-    proof re-evaluates to its coefficient, and each proof generator lies in
-    ideal^power, which is built in full (and, for a general ideal, given a
-    Groebner basis) once per proof. The factor multisets are not read."""
-    n = certificate.degree
-    if n < 1 or len(certificate.coefficients) != n or len(certificate.proofs) != n:
-        return False
+    certificate's own check: each multiset of the i-th proof has i indices
+    into the ideal's generators and is multiplied out by its own loop; each
+    product lies in ideal^i, which is built in full (and, for a general
+    ideal, given a Groebner basis) once per proof; and the equation, with
+    a_i summed from the quotient multiples, vanishes at the element. An
+    empty list of proofs leaves the equation 1 = 0."""
+    gens = to_poly_ideal(ideal).gens
     f = certificate.element
+    n = len(certificate.proofs)
     total = f ** n
-    for i, coeff in enumerate(certificate.coefficients, start=1):
-        total = total + coeff * f ** (n - i)
-    if not total.is_zero:
-        return False
-    for i, (coeff, proof) in enumerate(zip(certificate.coefficients, certificate.proofs), start=1):
-        if proof.power != i or len(proof.generators) != len(proof.quotients):
+    for i, proof in enumerate(certificate.proofs, start=1):
+        if len(proof.factors) != len(proof.quotients):
             return False
-        combination = Polynomial.zero(f.dim)
-        for quotient, generator in zip(proof.quotients, proof.generators):
-            combination = combination + quotient * generator
-        if combination != coeff:
-            return False
-        if not proof.generators:
+        products = []
+        for factor in proof.factors:
+            if len(factor) != i or any(q < 0 or q >= len(gens) for q in factor):
+                return False
+            cited = Polynomial.one(f.dim)
+            for q in factor:
+                cited = cited * gens[q]
+            products.append(cited)
+        coefficient = Polynomial.zero(f.dim)
+        for quotient, cited in zip(proof.quotients, products):
+            coefficient = coefficient + quotient * cited
+        total = total + coefficient * f ** (n - i)
+        if not products:
             continue
-        if isinstance(ideal, MonomialIdeal) and all(g.is_monomial() for g in proof.generators):
+        if isinstance(ideal, MonomialIdeal):
             power = ideal_power(ideal, i)
-            if not all(contains_monomial(power, next(iter(g.terms))) for g in proof.generators):
+            if not all(contains_monomial(power, next(iter(g.terms))) for g in products):
                 return False
             continue
         power = poly_ideal_power(to_poly_ideal(ideal), i)
-        if not all(poly_ideal_member(g, power).member for g in proof.generators):
+        if not all(poly_ideal_member(g, power).member for g in products):
             return False
-    return True
+    return total.is_zero
 
 
 def sheared_general_pair(

@@ -291,18 +291,17 @@ def test_tri_state_monotone_in_k_max():
 def test_monomial_certificate_worked_examples():
     cert = monomial_certificate((1, 1), J22)
     assert cert.degree == 2
-    assert cert.coefficients[0].is_zero
-    assert cert.coefficients[1] == P("-x^2*y^2")
+    assert cert.coefficients(J22) == (P("0"), P("-x^2*y^2"))
     assert cert.verify(J22)
 
     inside = monomial_certificate((2, 0), J22)
     assert inside.degree == 1
-    assert inside.coefficients == (P("-x^2"),)
+    assert inside.coefficients(J22) == (P("-x^2"),)
     assert inside.verify(J22)
 
     divisible = monomial_certificate((2, 1), mono(2, (2, 0)))
     assert divisible.degree == 1
-    assert divisible.coefficients == (P("-x^2*y"),)
+    assert divisible.coefficients(mono(2, (2, 0))) == (P("-x^2*y"),)
     assert divisible.verify(mono(2, (2, 0)))
 
 
@@ -362,22 +361,20 @@ def test_cramer_certificate_square_pair_case():
     assert cert.degree == 3
     assert cert.verify(J22)
     # matches the hand expansion t^3 - x^2 y^2 t
-    assert cert.coefficients[0].is_zero
-    assert cert.coefficients[1] == P("-x^2*y^2")
-    assert cert.coefficients[2].is_zero
+    assert cert.coefficients(J22) == (P("0"), P("-x^2*y^2"), P("0"))
 
 
 def test_cramer_certificate_trivial_cases():
     j_poly = to_poly_ideal(J22)
     cert = cramer_certificate(P("x^2"), j_poly, j_poly, 0)
     assert cert.degree == 1
-    assert cert.coefficients == (P("-x^2"),)
+    assert cert.coefficients(J22) == (P("-x^2"),)
     assert cert.verify(J22)
 
     single = PolyIdeal(2, (P("x^2"),))
     cert = cramer_certificate(P("x^2"), single, single, 0)
     assert cert.degree == 1
-    assert cert.coefficients == (P("-x^2"),)
+    assert cert.coefficients(single) == (P("-x^2"),)
     assert cert.verify(single)
 
 
@@ -465,51 +462,49 @@ def test_reduction_number_respects_degree_sum_bound(seed):
 
 def test_certificate_verify_rejects_damage():
     cert = monomial_certificate((1, 1), J22)
-    broken = IntegralityCertificate(
-        cert.element, cert.degree, (P("0"), P("-x^2*y")), cert.proofs
-    )
-    assert not broken.verify(J22)
-    wrong_power = IntegralityCertificate(
-        cert.element,
-        cert.degree,
-        cert.coefficients,
-        (MembershipProof(2, (), ()), cert.proofs[1]),
-    )
-    assert not wrong_power.verify(J22)
-    # a last proof generator outside J^2, with a zero quotient
-    final = cert.proofs[1]
-    outsider = MembershipProof(2, final.generators + (P("x"),), final.quotients + (P("0"),))
-    stray = IntegralityCertificate(
-        cert.element, cert.degree, cert.coefficients, (cert.proofs[0], outsider)
-    )
-    assert not stray.verify(J22)
-    assert not stray.verify(to_poly_ideal(J22))
+    first, final = cert.proofs
+    assert first == MembershipProof((), ()) and final.factors == ((0, 1),)
 
+    def with_proofs(*proofs):
+        return IntegralityCertificate(cert.element, proofs)
 
-    # factor multisets must name, in range, exactly the listed generator
-    def with_factors(factors, base=J22):
-        proof = MembershipProof(2, final.generators, final.quotients, factors)
-        damaged = IntegralityCertificate(
-            cert.element, cert.degree, cert.coefficients, (cert.proofs[0], proof)
-        )
-        return damaged.verify(base)
-
-    assert final.factors == ((0, 1),) and with_factors(((0, 1),))
-    assert not with_factors(((0, 2),))  # index out of range
-    assert not with_factors(((-1, 0),))  # would read y^2 * x^2 from the end
-    assert not with_factors(())  # shorter than the generators
-    assert not with_factors(((0, 0),))  # x^4 is not the listed x^2*y^2
-    # x^2*y^2 is itself a generator of this base, but a proof of power 2
-    # must cite two factors
-    padded = to_poly_ideal(J22).gens + (P("x^2*y^2"),)
-    assert with_factors(((0, 1),), PolyIdeal(2, padded))
-    assert not with_factors(((2,),), PolyIdeal(2, padded))
+    padded = PolyIdeal(2, to_poly_ideal(J22).gens + (P("x^2*y^2"),))
+    damaged = {
+        "a damaged quotient": with_proofs(first, MembershipProof(((0, 1),), (P("-x"),))),
+        # x^2 * -y^2 is the right a_2, but x^2 is a product of one generator
+        "a multiset of one in the second proof": with_proofs(
+            first, MembershipProof(((0,),), (P("-y^2"),))
+        ),
+        # a zero multiple of x^2*y^2 leaves a_1 zero, but it cites two generators
+        "a multiset of two in the first proof": with_proofs(
+            MembershipProof(((0, 1),), (P("0"),)), final
+        ),
+        "an index out of range": with_proofs(first, MembershipProof(((0, 2),), final.quotients)),
+        # would read y^2 * x^2 from the end
+        "a negative index": with_proofs(first, MembershipProof(((-1, 0),), final.quotients)),
+        "fewer multisets than quotients": with_proofs(first, MembershipProof((), final.quotients)),
+        # the equation holds, but x^4 has no quotient
+        "a multiset without a quotient": with_proofs(
+            first, MembershipProof(((0, 1), (0, 0)), final.quotients)
+        ),
+        # x^4 is not x^2*y^2
+        "(0, 0) in place of (0, 1)": with_proofs(first, MembershipProof(((0, 0),), final.quotients)),
+        "no proofs": with_proofs(),
+    }
+    for case, certificate in damaged.items():
+        assert not certificate.verify(J22), case
+        assert not certificate.verify(to_poly_ideal(J22)), case
+        assert not reference_verify(certificate, J22), case
+    # x^2*y^2 is itself a generator of the padded base, but the proof of
+    # a_2 must cite two factors
+    assert cert.verify(padded) and reference_verify(cert, padded)
+    named = with_proofs(first, MembershipProof(((2,),), final.quotients))
+    assert not named.verify(padded)
+    assert not reference_verify(named, padded)
 
 
 def test_membership_proof_empty_sum_is_zero():
-    proof = MembershipProof(1, (), ())
-    assert proof.evaluates_to(Polynomial.zero(2))
-    assert not proof.evaluates_to(Polynomial.one(2))
+    assert MembershipProof((), ()).value(to_poly_ideal(J22)) == Polynomial.zero(2)
 
 
 def test_certificate_scale_root():
@@ -561,7 +556,7 @@ def test_certificates_pass_the_membership_oracle_on_seeded_samples():
         expected = lcm(*(lam.denominator for lam in weights.lambdas))
         assert cert.degree == expected
         assert (expected == 1) == contains_monomial(ideal, member)
-        assert sum(len(p.generators) for p in cert.proofs) == 1
+        assert sum(len(p.factors) for p in cert.proofs) == 1
     general = _general_certificates()
     assert len(general) >= 15
     for cert, j_poly, basis_ideal in general:

@@ -61,9 +61,8 @@ def test_negative_exponents_rejected():
 
 def test_unit_and_zero_flags():
     assert unit_ideal(3).is_unit
-    assert not unit_ideal(3).is_proper
     assert zero_ideal(3).is_zero
-    assert mono(2, (1, 0)).is_proper
+    assert not mono(2, (1, 0)).is_unit
 
 
 def test_contains_monomial_worked_examples():

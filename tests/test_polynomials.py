@@ -197,7 +197,7 @@ def test_arithmetic_results_keep_the_constructor_invariant(seed, dim):
         for result in results:
             assert_valid_terms(result)
         # Keep the pool small enough that products stay cheap.
-        pool.extend(r for r in results if r.total_degree() <= 8 and len(r.terms) <= 12)
+        pool.extend(r for r in results if all(sum(e) <= 8 for e in r.terms) and len(r.terms) <= 12)
 
 
 def test_constructor_still_rejects_bad_exponents():
