@@ -14,7 +14,6 @@ from .errors import (
 )
 from .groebner import (
     GroebnerBasis,
-    Membership,
     PolyIdeal,
     buchberger,
     in_poly_ideal,
@@ -69,7 +68,6 @@ from .newton import (
     RationalCertificate,
     closure,
     closure_member,
-    closure_member_certificate,
     polyhedron_of,
 )
 from .parsing import parse_polynomial

@@ -22,7 +22,7 @@ from .errors import (
     InstanceTooLargeError,
     PreconditionError,
 )
-from .groebner import PolyIdeal, poly_ideal_member, poly_ideal_sum, to_poly_ideal
+from .groebner import PolyIdeal, in_poly_ideal, poly_ideal_member, poly_ideal_sum, to_poly_ideal
 from .monomials import MonomialIdeal, contains_monomial
 from .parsing import parse_polynomial
 from .polynomials import term_order
@@ -102,20 +102,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _format(args, config: Config) -> str:
-    if args.output:
-        return args.output
-    if args.json:
-        return "json"
-    return config.output
+# The commands with a CSV layout; ``main`` rejects --output csv for the rest
+# before any work runs.
+_CSV_COMMANDS = ("exponents", "sample-suite")
 
 
 def _emit(payload: dict, text: str, fmt: str, csv_text: str | None = None) -> None:
     if fmt == "json":
         print(canonical_json(payload))
     elif fmt == "csv":
-        if csv_text is None:
-            raise PreconditionError("csv output is not defined for this command")
         sys.stdout.write(csv_text)
     else:
         print(text)
@@ -150,7 +145,7 @@ def _cmd_closure(args, config: Config) -> int:
     closed = newton.closure(ideal, config.box_point_cap, n=1)
     payload = serialize.ideal_payload(closed, parsed.variables)
     text = "closure: " + ", ".join(payload["generators"]) if payload["generators"] else "closure: (0)"
-    _emit(payload, text, _format(args, config))
+    _emit(payload, text, config.output)
     return EXIT_OK
 
 
@@ -161,17 +156,18 @@ def _cmd_member(args, config: Config) -> int:
     payload: dict = {"element": serialize.format_polynomial(poly, parsed.variables)}
     if isinstance(parsed.ideal, MonomialIdeal) and poly.is_monomial():
         member = contains_monomial(parsed.ideal, next(iter(poly.terms)))
-        payload["member"] = member
-    else:
-        outcome = poly_ideal_member(poly, to_poly_ideal(parsed.ideal), order, config.spair_cap)
-        member = outcome.member
-        payload["member"] = member
-        if member and outcome.generator_quotients is not None:
+    elif config.output == "json":
+        # Only the JSON form prints the lift, so only it computes one.
+        quotients = poly_ideal_member(poly, to_poly_ideal(parsed.ideal), order, config.spair_cap)
+        member = quotients is not None
+        if member:
             payload["quotients"] = [
-                serialize.format_polynomial(q, parsed.variables)
-                for q in outcome.generator_quotients
+                serialize.format_polynomial(q, parsed.variables) for q in quotients
             ]
-    _emit(payload, f"member: {str(member).lower()}", _format(args, config))
+    else:
+        member = in_poly_ideal(poly, to_poly_ideal(parsed.ideal), order, config.spair_cap)
+    payload["member"] = member
+    _emit(payload, f"member: {str(member).lower()}", config.output)
     return EXIT_OK if member else EXIT_CHECK_FAILED
 
 
@@ -179,17 +175,17 @@ def _cmd_closure_member(args, config: Config) -> int:
     parsed = load_ideal(args.ideal)
     ideal = _require_monomial(parsed, "closure-member")
     exps, poly = _single_term_exponents(parsed.variables, args.element)
-    member, weights = newton.closure_member_certificate(ideal, exps)
+    polyhedron = newton.polyhedron_of(ideal)
+    member, weights = polyhedron.member(exps)
     payload: dict = {
         "element": serialize.format_polynomial(poly, parsed.variables),
         "member": member,
     }
-    if member and weights is not None:
-        vertices = newton.polyhedron_of(ideal).vertices
+    if weights is not None:
         payload["combination"] = serialize.weights_payload(
-            weights, vertices, parsed.variables
+            weights, polyhedron.vertices, parsed.variables
         )
-    _emit(payload, f"closure member: {str(member).lower()}", _format(args, config))
+    _emit(payload, f"closure member: {str(member).lower()}", config.output)
     return EXIT_OK if member else EXIT_CHECK_FAILED
 
 
@@ -252,7 +248,7 @@ def _cmd_is_integral(args, config: Config) -> int:
     if args.certify:
         payload["certificates"] = certificates
     text = f"integral: {verdict}"
-    _emit(payload, text, _format(args, config))
+    _emit(payload, text, config.output)
     return EXIT_OK if verdict.is_yes else EXIT_CHECK_FAILED
 
 
@@ -271,10 +267,10 @@ def _cmd_reduction_number(args, config: Config) -> int:
     )
     if isinstance(outcome, integrality.ReductionWitness):
         payload = {"k": outcome.k, "verified": outcome.verified}
-        _emit(payload, f"reduction number: {outcome.k}", _format(args, config))
+        _emit(payload, f"reduction number: {outcome.k}", config.output)
         return EXIT_OK
     payload = {"not_up_to": outcome.k_max}
-    _emit(payload, f"no reduction exponent up to {outcome.k_max}", _format(args, config))
+    _emit(payload, f"no reduction exponent up to {outcome.k_max}", config.output)
     return EXIT_CHECK_FAILED
 
 
@@ -292,7 +288,7 @@ def _cmd_exponents(args, config: Config) -> int:
     _emit(
         payload,
         "\n".join(lines),
-        _format(args, config),
+        config.output,
         serialize.exponent_report_csv(report, parsed.variables),
     )
     return EXIT_OK
@@ -306,7 +302,7 @@ def _cmd_bs_check(args, config: Config) -> int:
     )
     payload = serialize.shifted_report_payload(report, parsed.variables)
     rows = ", ".join(f"n={row.n}:{'ok' if row.holds else 'FAIL'}" for row in report.rows)
-    _emit(payload, f"shifted containment: {rows or 'no rows'}", _format(args, config))
+    _emit(payload, f"shifted containment: {rows or 'no rows'}", config.output)
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
@@ -315,7 +311,7 @@ def _cmd_chain_check(args, config: Config) -> int:
     ideal = _require_monomial(parsed, "chain-check")
     ok = lab.chain_check(ideal, config.n_max, config.generator_cap, config.box_point_cap)
     payload = {"ideal": serialize.ideal_payload(ideal, parsed.variables), "ok": ok}
-    _emit(payload, f"chain check: {'ok' if ok else 'FAIL'}", _format(args, config))
+    _emit(payload, f"chain check: {'ok' if ok else 'FAIL'}", config.output)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -329,7 +325,7 @@ def _cmd_witness(args, config: Config) -> int:
             f"I^(d-1) not in J={verdict.power_not_contained} -> "
             f"{'pass' if verdict.passed else 'FAIL'}"
         )
-        _emit(payload, text, _format(args, config))
+        _emit(payload, text, config.output)
         return EXIT_OK if verdict.passed else EXIT_CHECK_FAILED
     pair = lab.witness_pair(args.d)
     variables = serialize.default_variables(args.d)
@@ -343,7 +339,7 @@ def _cmd_witness(args, config: Config) -> int:
         f"J = ({', '.join(payload['J']['generators'])})\n"
         f"I = ({', '.join(payload['I']['generators'])})"
     )
-    _emit(payload, text, _format(args, config))
+    _emit(payload, text, config.output)
     return EXIT_OK
 
 
@@ -355,7 +351,7 @@ def _cmd_lift_bound(args, config: Config) -> int:
         raise PreconditionError(f"constants must be integers: {exc}") from exc
     bound = lab.nilpotent_lift_bound(args.k, constants)
     payload = {"k": args.k, "constants": constants, "bound": bound}
-    _emit(payload, f"lift bound: {bound}", _format(args, config))
+    _emit(payload, f"lift bound: {bound}", config.output)
     return EXIT_OK
 
 
@@ -377,7 +373,7 @@ def _cmd_sample_suite(args, config: Config) -> int:
             f"bound={result.bound_ok} agree={result.integrality_agree}"
         )
     lines.append(f"failures: {report.failures}")
-    _emit(payload, "\n".join(lines), _format(args, config), serialize.suite_csv(report))
+    _emit(payload, "\n".join(lines), config.output, serialize.suite_csv(report))
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
@@ -409,8 +405,10 @@ def main(argv: list[str] | None = None) -> int:
             spair_cap=getattr(args, "spair_cap", None),
             order=getattr(args, "order", None),
             seed=getattr(args, "seed", None),
-            output=getattr(args, "output", None),
+            output=args.output or ("json" if args.json else None),
         )
+        if config.output == "csv" and args.command not in _CSV_COMMANDS:
+            raise PreconditionError("csv output is not defined for this command")
         return _HANDLERS[args.command](args, config)
     except InstanceTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -234,26 +234,25 @@ def to_poly_ideal(ideal: MonomialIdeal | PolyIdeal) -> PolyIdeal:
     return PolyIdeal(ideal.dim, gens)
 
 
-@dataclass(frozen=True)
-class Membership:
-    member: bool
-    generator_quotients: tuple[Polynomial, ...] | None
-
-
 def poly_ideal_member(
     f: Polynomial,
     ideal: PolyIdeal,
     order: TermOrder = GREVLEX,
     spair_cap: int = DEFAULT_SPAIR_CAP,
-) -> Membership:
-    """Membership via normal form, with exact lifts over the generators."""
+) -> tuple[Polynomial, ...] | None:
+    """The quotients q_i of f = sum(q_i * g_i) over the generators g_i, or
+    None when f is not in the ideal. Generator i (its first occurrence)
+    lifts to the unit vector e_i with no basis built. The zero element of
+    the zero ideal lifts to (), which is falsy: test the answer with
+    ``is None``."""
     if f.dim != ideal.dim:
         raise DimensionMismatchError("element dimension differs from ideal")
+    if f in ideal.gens:
+        index = ideal.gens.index(f)
+        return tuple(Polynomial.constant(f.dim, int(i == index)) for i in range(len(ideal.gens)))
     gb = ideal.groebner(order, spair_cap)
     remainder, quotients = normal_form(f, gb.basis, order)
-    if not remainder.is_zero:
-        return Membership(False, None)
-    return Membership(True, gb.lift(quotients))
+    return gb.lift(quotients) if remainder.is_zero else None
 
 
 def in_poly_ideal(

@@ -438,16 +438,15 @@ def cramer_certificate(
     char_matrix: list[list[Polynomial]] = []
     for i, g_i in enumerate(basis_ideal.gens):
         lift = poly_ideal_member(f * g_i, lift_ideal, order, spair_cap)
-        if not lift.member:
+        if lift is None:
             raise PreconditionError(f"f * I^{k} is not in J * I^{k}")
-        assert lift.generator_quotients is not None
         check = Polynomial.zero(dim)
         row = []
         for j, g_j in enumerate(basis_ideal.gens):
             entry = Polynomial.zero(dim)
             symbolic: dict[ExponentVector, Fraction] = {}  # -sum(c * y_q)
             for q_index, q in enumerate(j_poly.gens):
-                coefficient = lift.generator_quotients[q_index * count + j]
+                coefficient = lift[q_index * count + j]
                 if not coefficient.is_zero:
                     entry += coefficient * q
                     tail = y_tails[q_index]

@@ -221,10 +221,3 @@ def closure_member(ideal: MonomialIdeal, m: ExponentVector) -> bool:
         raise PreconditionError("closure membership needs a nonzero ideal")
     point = as_exponent_vector(m, ideal.dim)
     return _satisfies_facets(_facets(ideal.dim, ideal.gens[::-1]), point)
-
-
-def closure_member_certificate(
-    ideal: MonomialIdeal, m: ExponentVector
-) -> tuple[bool, RationalCertificate | None]:
-    """Like :func:`closure_member` but also returns the convex weights."""
-    return polyhedron_of(ideal).member(m)

@@ -159,7 +159,7 @@ def equality_reduction_number(j_ideal, i_ideal, k_max: int):
     j_poly = to_poly_ideal(j_ideal)
     i_poly = to_poly_ideal(i_ideal)
     for g in j_poly.gens:
-        if not poly_ideal_member(g, i_poly).member:
+        if poly_ideal_member(g, i_poly) is None:
             raise PreconditionError("J must be contained in I")
     current = poly_ideal_power(i_poly, 0)
     for k in range(k_max + 1):
@@ -409,7 +409,7 @@ def reference_verify(certificate, ideal) -> bool:
                 return False
             continue
         power = poly_ideal_power(to_poly_ideal(ideal), i)
-        if not all(poly_ideal_member(g, power).member for g in products):
+        if any(poly_ideal_member(g, power) is None for g in products):
             return False
     return total.is_zero
 

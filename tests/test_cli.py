@@ -9,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from closure_lab import newton
 from closure_lab.cli import main
+from closure_lab.groebner import GroebnerBasis
+from closure_lab.newton import polyhedron_of
 from closure_lab.parsing import parse_polynomial
 from closure_lab.serialize import parse_ideal
 from helpers import package_env
@@ -62,8 +65,24 @@ def test_member_exit_codes(ideal_file, capsys):
     assert run_main(capsys, "member", path, "x*y")[0] == 1
     code, out, _ = run_main(capsys, "member", path, "x^2 + y^2", "--json")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["member"] is True and "quotients" in payload
+    assert out == '{"element": "x^2 + y^2", "member": true, "quotients": ["1", "1"]}\n'
+
+
+def test_member_text_is_a_verdict_with_no_lift(ideal_file, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a text verdict lifted")
+
+    monkeypatch.setattr(GroebnerBasis, "lift", refuse)
+    path = ideal_file("j.json", X2Y2)
+    assert run_main(capsys, "member", path, "x^2 + y^2") == (0, "member: true\n", "")
+    assert run_main(capsys, "member", path, "x^2 + y")[:2] == (1, "member: false\n")
+
+
+def test_member_json_lifts_a_generator_to_its_unit_vector(capsys):
+    path = str(ROOT / "ideals" / "lex_rows.json")
+    code, out, _ = run_main(capsys, "member", path, "x^2*y^2*z^2 - x*z^2", "--order", "lex", "--json")
+    assert code == 0
+    assert json.loads(out)["quotients"] == ["0", "0", "1"]
 
 
 def test_closure_member_weights(ideal_file, capsys):
@@ -75,6 +94,21 @@ def test_closure_member_weights(ideal_file, capsys):
     weights = {row["generator"]: row["weight"] for row in payload["combination"]}
     assert weights == {"x^2": "1/2", "y^2": "1/2"}
     assert run_main(capsys, "closure-member", path, "x")[0] == 1
+
+
+def test_closure_member_builds_one_polyhedron(ideal_file, capsys, monkeypatch):
+    calls = []
+
+    def recording(ideal):
+        calls.append(ideal)
+        return polyhedron_of(ideal)
+
+    monkeypatch.setattr(newton, "polyhedron_of", recording)
+    path = ideal_file("j.json", X2Y2)
+    for element, code in (("x*y", 0), ("x", 1)):
+        calls.clear()
+        assert run_main(capsys, "closure-member", path, element, "--json")[0] == code
+        assert len(calls) == 1, element
 
 
 def test_is_integral_ideal_paths(ideal_file, capsys):
@@ -363,6 +397,10 @@ def test_cap_overflow_exit_code(ideal_file, capsys):
 def test_csv_rejected_where_undefined(ideal_file, capsys):
     path = ideal_file("j.json", X2Y2)
     code, _, err = run_main(capsys, "closure", path, "--output", "csv")
+    assert code == 2 and "csv" in err
+    # the format is rejected before any work, so a cap the work would hit
+    # does not answer first
+    code, _, err = run_main(capsys, "closure", path, "--box-point-cap", "1", "--output", "csv")
     assert code == 2 and "csv" in err
 
 
