@@ -10,10 +10,22 @@ a - e_j would still dominate the same convex combination (its j-th
 coordinate still exceeds every vertex's), so a would not be minimal.
 
 :func:`closure` works from the facets, computed once per ideal J by exact
-double description in integer arithmetic and scaled by n for J^n. The box
-bounds the prefixes (first d - 1 coordinates) it visits; over each prefix
-the least last coordinate is a maximum of integer ceilings, and every
-minimal generator is such a fibre minimum.
+double description in integer arithmetic and scaled by n for J^n. Write
+f(a') for the least last coordinate over a prefix a' (the first d - 1
+coordinates), infinite where no point lies over a': a maximum of integer
+ceilings, non-increasing in each coordinate of a'. Every minimal generator
+is a fibre minimum (a', f(a')), and a fibre minimum is a minimal generator
+exactly when f(a' - e_j) > f(a') for every j with a'_j > 0.
+
+The walk takes one row of the box at a time: the first d - 2 coordinates
+are fixed and t, coordinate d - 1, rises. The walls (facets without the
+last coordinate) give the row's first t, or rule the whole row out. Each
+facet's sum over the row is taken once, and t adds its weight on t at each
+step. The row ends where f reaches 0, since every later prefix is
+dominated. The test for j = d - 1 compares with the previous step of the
+row; only points that pass it have the other j tested, on the facets'
+slacks. The kept points are exactly the minimal generators, in ascending
+lexicographic order.
 
 The same facets decide every membership question; the exact LP of
 :mod:`closure_lab.simplex` runs only for a point known to be inside, to give
@@ -27,6 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, prod
+from operator import mul
 from typing import Sequence
 
 from . import simplex
@@ -176,10 +189,11 @@ def closure(
     NP(J^n) = n * NP(J): J's facets with every threshold scaled by n, over
     the box n * bounds(J), so no double description runs on a power. Every
     minimal generator lies in the box and is the least lattice point over
-    its prefix (module docstring), so the least last coordinate over each
-    prefix is read off the facets, kept when inside the box, and the kept
-    points minimalized. ``box_point_cap`` bounds the prefixes visited. The
-    powers of (0) are their own closures, as the ambient ring is reduced.
+    its prefix, so the row walk of the module docstring finds them all and
+    keeps nothing else. ``box_point_cap`` bounds the prefixes of the box,
+    whether or not the walk visits them, so a cap exits at the same inputs
+    whatever the walk skips. The powers of (0) are their own closures, as
+    the ambient ring is reduced.
     """
     if n < 0:
         raise PreconditionError(f"power must be nonnegative, got {n}")
@@ -192,26 +206,68 @@ def closure(
             f"closure box has {prefixes} prefixes over the first {ideal.dim - 1}"
             f" coordinates, cap is {box_point_cap}"
         )
-    lifts = []  # facets that bound the last coordinate from below
-    walls = []  # facets that only constrain the prefix
-    for weights, threshold in _facets(ideal.dim, ideal.gens[::-1]):
-        if weights[-1]:
-            lifts.append((weights[:-1], n * threshold, weights[-1]))
-        else:
-            walls.append((weights[:-1], n * threshold))
+    if ideal.dim == 1:  # J = (x^a), whose power (x^(n a)) is its own closure
+        return MonomialIdeal._from_valid(1, [bounds])
+    # A facet with threshold <= 0 holds on the whole orthant, as w >= 0.
+    # Each kept facet is split into its weights on the row (the first d - 2
+    # coordinates), on t (coordinate d - 1) and on the last coordinate.
+    facets = [
+        (weights[:-2], weights[-2], weights[-1], n * threshold)
+        for weights, threshold in _facets(ideal.dim, ideal.gens[::-1])
+        if threshold > 0
+    ]
+    top = bounds[-2]
     points = []
-    for prefix in product(*(range(b + 1) for b in bounds[:-1])):
-        if not _satisfies_facets(walls, prefix):
+    for row in product(*(range(b + 1) for b in bounds[:-2])):
+        # need = b - w_row . row: the facet holds at (row, t, c) exactly when
+        # step * t + last * c >= need.
+        needs = [
+            (threshold - sum(map(mul, weights, row)), step, last, weights)
+            for weights, step, last, threshold in facets
+        ]
+        # The walls (last = 0) hold from some t on, or nowhere on the row.
+        start = 0
+        for need, step, last, _ in needs:
+            if not last and need > 0:
+                start = max(start, -(-need // step)) if step else top + 1
+        if start > top:
             continue
-        # ceil((threshold - weights . prefix) / last), by floor division
-        least = max(
-            -((sum(w * a for w, a in zip(weights, prefix)) - threshold) // last)
-            for weights, threshold, last in lifts
-        )
-        least = max(least, 0)
-        if least <= bounds[-1]:
-            points.append(prefix + (least,))
+        # f(row, t) is 0 or the largest ceil((need - step * t) / last) over
+        # the lifts (last > 0), each ceiling taken as a floor of its bias
+        # need + last - 1; a lift at or below 0 at the start stays there.
+        lifts = [
+            (need + last - 1, step, last)
+            for need, step, last, _ in needs
+            if last and need > step * start
+        ]
+        previous = None  # f(row, t - 1), None where (row, t - 1) is outside
+        for t in range(start, top + 1):
+            least = max(
+                0, max([(bias - step * t) // last for bias, step, last in lifts], default=0)
+            )
+            if (previous is None or least < previous) and (
+                not any(row) or _row_minimal(needs, row, t, least)
+            ):
+                points.append(row + (t, least))
+            if not least:
+                break  # every later point of the row is a multiple of this one
+            previous = least
     return MonomialIdeal._from_valid(ideal.dim, points)
+
+
+def _row_minimal(needs: Sequence[tuple], row: ExponentVector, t: int, least: int) -> bool:
+    """Whether f(row - e_j, t) > least for every j with row_j > 0, that is,
+    (row - e_j, t, least) leaves the polyhedron: some facet's slack at
+    (row, t, least) is below its weight w_j. Facets with threshold <= 0 keep
+    a slack of at least w_j there, so ``needs`` omits them."""
+    return all(
+        any(
+            step * t + last * least - need < weights[j]
+            for need, step, last, weights in needs
+        )
+        for j, c in enumerate(row)
+        if c
+    )
 
 
 def closure_member(ideal: MonomialIdeal, m: ExponentVector) -> bool:

@@ -116,11 +116,20 @@ def test_closure_of_zero_and_unit():
 
 
 def test_closure_box_cap():
-    # the cap counts the prefixes visited, x-exponents 0..9 here
+    # the cap counts every prefix of the box, x-exponents 0..9 here
     ideal = mono(2, (9, 0), (0, 9))
     assert len(closure(ideal, box_point_cap=10, n=1).gens) == 10
     with pytest.raises(InstanceTooLargeError, match="10 prefixes over the first 1"):
         closure(ideal, box_point_cap=9, n=1)
+    # the walk ends the rows x = 1 and x = 2 where z reaches 0, so it visits
+    # 6 of the 3 * 3 prefixes, but the cap still counts all 9
+    ideal = mono(3, (2, 0, 0), (0, 2, 0), (0, 0, 2))
+    assert len(closure(ideal, box_point_cap=9, n=1).gens) == 6
+    with pytest.raises(
+        InstanceTooLargeError,
+        match=r"^closure box has 9 prefixes over the first 2 coordinates, cap is 8$",
+    ):
+        closure(ideal, box_point_cap=8, n=1)
 
 
 def test_closure_of_negative_power_is_refused():
@@ -380,11 +389,22 @@ def test_closure_agrees_with_box_scan(ideal, n):
 
 def test_closure_agrees_with_box_scan_on_seeded_sample():
     rng = random.Random(20_240)
+    # every generator has positive exponents on all but the last coordinate,
+    # so each row starts past a wall, and a row with a zero entry is ruled out
+    ideals = [mono(3, (2, 1, 1), (1, 2, 1)), mono(4, (1, 2, 1, 0), (2, 1, 1, 3))]
+    for _ in range(20):
+        dim = rng.choice((3, 4))
+        gens = [
+            tuple(rng.randint(1, 3) for _ in range(dim - 1)) + (rng.randint(0, 3),)
+            for _ in range(rng.randint(1, 3))
+        ]
+        ideals.append(MonomialIdeal(dim, gens))
     for _ in range(200):
-        ideal = random_monomial_ideal(
-            rng, rng.choice((2, 3)), min_gens=2, max_gens=4, max_exp=5
-        )
-        for power in (ideal, ideal_power(ideal, 2)):
+        dim = rng.choice((1, 2, 3, 4))
+        max_exp = 5 if dim < 4 else 2
+        ideals.append(random_monomial_ideal(rng, dim, max_gens=4, max_exp=max_exp))
+    for ideal in ideals:
+        for power in (ideal, ideal_power(ideal, 2), ideal_power(ideal, 3)):
             assert closure(power, n=1) == box_scan_closure(power), power
 
 
