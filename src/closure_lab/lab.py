@@ -7,6 +7,10 @@ inside J^s; the gaps n - s, maximized over n, are the per-ideal uniform
 exponents reported as k_bar and k_cl. Reports carry per-n rows rather than
 any claim that the gaps stabilize, and nothing here computes the ring-wide
 supremum over all ideals. closure(J^n) is ``closure(J, box_point_cap, n=n)``.
+Both searches descend from s = n, and neither builds J^(n+1): a degree count
+shows each candidate outside it, as every generator of J^(n+1) has total
+degree at least (n + 1) times the least degree of J's generators. Where
+closure(J^n) = closure(J)^n, one search answers both.
 
 The witness check shows I^(d-1) outside J by citing one product of d - 1
 generators of I, so it builds no power and no cap bounds it.
@@ -60,16 +64,20 @@ class UniformExponentReport:
 def _max_contained_power(
     base: MonomialIdeal, candidate: MonomialIdeal, n: int, generator_cap: int
 ) -> int:
-    """Largest s with candidate inside base^s; the containments are nested,
-    so the first hit of a descending search is the maximum. Containment at
-    s = n + 1 is impossible for proper ideals by degree count and is treated
-    as an internal error rather than assumed away."""
-    for s in range(n + 1, -1, -1):
+    """Largest s <= n with candidate inside base^s; the containments are
+    nested, so the first hit of a search descending from n is the maximum.
+
+    That the candidate lies outside base^(n + 1) is checked by a degree
+    count, not assumed and not tested on a built power: every generator of
+    base^(n + 1) has total degree at least (n + 1) * delta, delta the least
+    total degree of base's generators, so one generator of the candidate of
+    lower degree shows it outside. A candidate containing base^n always has
+    one, as base proper has delta >= 1; none is an internal error."""
+    bound = (n + 1) * min(sum(g) for g in base.gens)
+    if all(sum(g) >= bound for g in candidate.gens):
+        raise InvariantViolationError(f"containment at shift {n + 1} exceeds the power {n}")
+    for s in range(n, -1, -1):
         if ideal_contains(ideal_power(base, s, generator_cap), candidate):
-            if s > n:
-                raise InvariantViolationError(
-                    f"containment at shift {s} exceeds the power {n}"
-                )
             return s
     raise InvariantViolationError("containment failed even in the unit ideal")
 
@@ -80,7 +88,10 @@ def uniform_exponents(
     generator_cap: int = DEFAULT_GENERATOR_CAP,
     box_point_cap: int = DEFAULT_BOX_POINT_CAP,
 ) -> UniformExponentReport:
-    """Measure s_bar(n), s_closure(n) for 1 <= n <= n_max and their gaps."""
+    """Measure s_bar(n), s_closure(n) for 1 <= n <= n_max and their gaps.
+
+    Where closure(J^n) equals closure(J)^n, the two shifts are one search.
+    No power of J above n_max is built."""
     if n_max < 1:
         raise PreconditionError(f"n_max must be >= 1, got {n_max}")
     if ideal.is_zero or ideal.is_unit:
@@ -91,7 +102,10 @@ def uniform_exponents(
         power_of_closure = ideal_power(closed, n, generator_cap)
         closure_of_power = closure(ideal, box_point_cap, n=n)
         s_bar = _max_contained_power(ideal, power_of_closure, n, generator_cap)
-        s_closure = _max_contained_power(ideal, closure_of_power, n, generator_cap)
+        if closure_of_power == power_of_closure:
+            s_closure = s_bar
+        else:
+            s_closure = _max_contained_power(ideal, closure_of_power, n, generator_cap)
         rows.append(ExponentRow(n, s_bar, s_closure))
     k_bar = max(row.n - row.s_bar for row in rows)
     k_cl = max(row.n - row.s_closure for row in rows)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .config import DEFAULT_GENERATOR_CAP
 from .errors import DimensionMismatchError, InstanceTooLargeError, PreconditionError
@@ -117,6 +117,16 @@ class MonomialIdeal:
         object.__setattr__(ideal, "gens", tuple(reversed(_minimal_vectors(vectors))))
         return ideal
 
+    @classmethod
+    def _from_minimal(cls, dim: int, ascending: Sequence[ExponentVector]) -> MonomialIdeal:
+        """The ideal whose minimal generators are ``ascending``, stored as
+        given: the caller guarantees an antichain of tuples of ``dim``
+        nonnegative ints in ascending lexicographic order."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "dim", dim)
+        object.__setattr__(ideal, "gens", tuple(reversed(ascending)))
+        return ideal
+
     @property
     def is_zero(self) -> bool:
         return not self.gens
@@ -197,8 +207,11 @@ def ideal_power(
 
 
 def ideal_contains(a: MonomialIdeal, b: MonomialIdeal) -> bool:
-    """True iff b is a subideal of a (every generator of b lies in a)."""
+    """True iff b is a subideal of a (every generator of b lies in a). Equal
+    generator tuples are equal ideals, and answer with no trie built."""
     _check_same_dim(a, b)
+    if a.gens == b.gens:
+        return True
     trie: dict = {}
     for g in a.gens:
         _trie_insert(trie, g)

@@ -190,7 +190,9 @@ def closure(
     the box n * bounds(J), so no double description runs on a power. Every
     minimal generator lies in the box and is the least lattice point over
     its prefix, so the row walk of the module docstring finds them all and
-    keeps nothing else. ``box_point_cap`` bounds the prefixes of the box,
+    keeps nothing else. They come out minimal and in ascending
+    lexicographic order, so the ideal stores them as walked, with no second
+    minimalization. ``box_point_cap`` bounds the prefixes of the box,
     whether or not the walk visits them, so a cap exits at the same inputs
     whatever the walk skips. The powers of (0) are their own closures, as
     the ambient ring is reduced.
@@ -207,7 +209,7 @@ def closure(
             f" coordinates, cap is {box_point_cap}"
         )
     if ideal.dim == 1:  # J = (x^a), whose power (x^(n a)) is its own closure
-        return MonomialIdeal._from_valid(1, [bounds])
+        return MonomialIdeal._from_minimal(1, [bounds])
     # A facet with threshold <= 0 holds on the whole orthant, as w >= 0.
     # Each kept facet is split into its weights on the row (the first d - 2
     # coordinates), on t (coordinate d - 1) and on the last coordinate.
@@ -252,7 +254,7 @@ def closure(
             if not least:
                 break  # every later point of the row is a multiple of this one
             previous = least
-    return MonomialIdeal._from_valid(ideal.dim, points)
+    return MonomialIdeal._from_minimal(ideal.dim, points)
 
 
 def _row_minimal(needs: Sequence[tuple], row: ExponentVector, t: int, least: int) -> bool:

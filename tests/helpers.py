@@ -19,7 +19,7 @@ from pathlib import Path
 
 import closure_lab
 from closure_lab import simplex
-from closure_lab.config import DEFAULT_SPAIR_CAP
+from closure_lab.config import DEFAULT_GENERATOR_CAP, DEFAULT_SPAIR_CAP
 from closure_lab.errors import (
     DimensionMismatchError,
     InstanceTooLargeError,
@@ -34,7 +34,7 @@ from closure_lab.groebner import (
     to_poly_ideal,
 )
 from closure_lab.integrality import NotUpTo, ReductionWitness
-from closure_lab.lab import witness_pair
+from closure_lab.lab import ExponentRow, UniformExponentReport, witness_pair
 from closure_lab.monomials import (
     ExponentVector,
     MonomialIdeal,
@@ -46,6 +46,7 @@ from closure_lab.monomials import (
     unit_ideal,
     vector_sum,
 )
+from closure_lab.newton import closure
 from closure_lab.polynomials import GREVLEX, Polynomial, TermOrder, normal_form
 
 
@@ -484,6 +485,30 @@ def reference_ideal_power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
         if n:
             base = ideal_product(base, base)
     return result
+
+
+def two_search_uniform_exponents(
+    ideal: MonomialIdeal, n_max: int, generator_cap: int = DEFAULT_GENERATOR_CAP
+) -> UniformExponentReport:
+    """Reference uniform exponents: for each n, two searches descending from
+    s = n + 1, one for closure(J)^n and one for closure(J^n), each testing
+    containment in a built J^s by a linear divisibility scan; containment in
+    J^(n + 1) raises."""
+    closed = closure(ideal, n=1)
+    rows = []
+    for n in range(1, n_max + 1):
+        shifts = []
+        for candidate in (ideal_power(closed, n, generator_cap), closure(ideal, n=n)):
+            s = n + 1
+            while not reference_ideal_contains(ideal_power(ideal, s, generator_cap), candidate):
+                s -= 1
+            if s > n:
+                raise AssertionError(f"{candidate} lies in J^{s}")
+            shifts.append(s)
+        rows.append(ExponentRow(n, *shifts))
+    k_bar = max(row.n - row.s_bar for row in rows)
+    k_cl = max(row.n - row.s_closure for row in rows)
+    return UniformExponentReport(ideal, n_max, tuple(rows), k_bar, k_cl)
 
 
 def random_polynomial(

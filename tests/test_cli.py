@@ -276,6 +276,17 @@ def test_exponents_formats(ideal_file, capsys):
     assert out.splitlines()[0] == "ideal_id,n,s_bar,s_closure,k_bar,k_cl"
 
 
+def test_exponents_cap_meets_no_power_above_n_max(capsys):
+    # J = (x^2, x*y, y^2): J^2 has 5 minimal generators and J^3, which no row
+    # of n_max = 2 reports, has 7, so cap 6 answers
+    path = str(ROOT / "ideals" / "mixed.json")
+    code, out, err = run_main(capsys, "exponents", path, "--n-max", "2", "--generator-cap", "6")
+    assert code == 0 and not err
+    assert out.splitlines()[-1] == "k_bar = 0, k_cl = 0"
+    code, _, err = run_main(capsys, "exponents", path, "--n-max", "2", "--generator-cap", "4")
+    assert code == 3 and "product has 5 minimal generators, cap is 4" in err
+
+
 def test_checks_and_witness(ideal_file, capsys):
     path = ideal_file("j.json", X2Y2)
     assert run_main(capsys, "bs-check", path, "--n-max", "4")[0] == 0

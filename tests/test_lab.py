@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from closure_lab import lab, monomials
 from closure_lab.config import DEFAULT_GENERATOR_CAP
-from closure_lab.errors import PreconditionError
+from closure_lab.errors import InvariantViolationError, PreconditionError
 from closure_lab.lab import (
     chain_check,
     lipman_sathaye_check,
@@ -20,7 +20,10 @@ from closure_lab.lab import (
 )
 from closure_lab.monomials import ideal_power, ideal_product, unit_ideal, zero_ideal
 from closure_lab.newton import closure
-from helpers import mono, witness_power_not_contained
+from helpers import mono, two_search_uniform_exponents, witness_power_not_contained
+
+# closure(J)^2 != closure(J^2) here, so uniform_exponents runs the second search
+SPLIT = mono(3, (4, 1, 0), (3, 0, 6), (2, 3, 5))
 
 
 def rows_as_tuples(report):
@@ -51,6 +54,43 @@ def test_uniform_exponents_preconditions():
         uniform_exponents(zero_ideal(2), 3)
     with pytest.raises(PreconditionError):
         uniform_exponents(mono(2, (1, 0)), 0)
+
+
+def test_uniform_exponents_agrees_with_two_search_oracle():
+    assert ideal_power(closure(SPLIT, n=1), 2) != closure(SPLIT, n=2)
+    rng = random.Random(2_323)
+    cases = [(SPLIT, 3)]
+    for _ in range(60):
+        dim = rng.choice((2, 3, 4))
+        max_exp = 5 if dim < 4 else 2
+        ideal = random_monomial_ideal(rng, dim, max_gens=4, max_exp=max_exp)
+        cases.append((ideal, rng.randint(1, 3)))
+    for ideal, n_max in cases:
+        assert uniform_exponents(ideal, n_max) == two_search_uniform_exponents(ideal, n_max)
+
+
+def test_uniform_exponents_builds_no_power_above_n_max(monkeypatch):
+    asked = []
+
+    def recording_power(a, n, generator_cap=DEFAULT_GENERATOR_CAP):
+        asked.append(n)
+        return ideal_power(a, n, generator_cap)
+
+    monkeypatch.setattr(lab, "ideal_power", recording_power)
+    for ideal in (SPLIT, mono(2, (2, 0), (1, 1), (0, 2)), mono(2, (1, 0), (0, 1))):
+        for n_max in (1, 2, 3):
+            asked.clear()
+            uniform_exponents(ideal, n_max)
+            assert asked and max(asked) <= n_max, (ideal, n_max, asked)
+
+
+def test_max_contained_power_rejects_a_candidate_inside_the_next_power():
+    for ideal in (SPLIT, mono(2, (2, 0), (1, 1), (0, 2)), mono(2, (3, 0), (0, 1))):
+        for n in (1, 2, 3):
+            with pytest.raises(InvariantViolationError):
+                lab._max_contained_power(
+                    ideal, ideal_power(ideal, n + 1), n, DEFAULT_GENERATOR_CAP
+                )
 
 
 def test_witness_pair_generator_patterns():

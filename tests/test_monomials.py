@@ -111,6 +111,21 @@ def test_ideal_power_examples():
         ideal_power(a, -1)
 
 
+def test_ideal_contains_answers_equal_ideals_with_no_trie(monkeypatch):
+    def forbidden(trie, v):
+        raise AssertionError("ideal_contains built a trie")
+
+    # the ideals are built first, as minimalization stores into a trie
+    ideals = [mono(2, (2, 1), (0, 3)), zero_ideal(3), unit_ideal(2)]
+    twins = [MonomialIdeal(ideal.dim, ideal.gens) for ideal in ideals]
+    smaller, larger = mono(2, (1, 0)), mono(2, (2, 0))
+    monkeypatch.setattr(monomials, "_trie_insert", forbidden)
+    for ideal, twin in zip(ideals, twins):
+        assert ideal_contains(ideal, ideal) and ideal_contains(ideal, twin)
+    with pytest.raises(AssertionError, match="built a trie"):
+        ideal_contains(smaller, larger)
+
+
 def test_ideal_contains_examples():
     assert ideal_contains(mono(2, (1, 0)), mono(2, (2, 0)))
     assert not ideal_contains(mono(2, (2, 0), (0, 2)), mono(2, (1, 1)))
