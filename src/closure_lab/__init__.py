@@ -30,6 +30,7 @@ from .integrality import (
     NotUpTo,
     ReductionWitness,
     TriState,
+    certify_element,
     cramer_certificate,
     is_integral_element,
     is_integral_ideal,

@@ -22,7 +22,7 @@ from .errors import (
     InstanceTooLargeError,
     PreconditionError,
 )
-from .groebner import PolyIdeal, in_poly_ideal, poly_ideal_member, poly_ideal_sum, to_poly_ideal
+from .groebner import in_poly_ideal, poly_ideal_member, to_poly_ideal
 from .monomials import MonomialIdeal, contains_monomial
 from .parsing import parse_polynomial
 from .polynomials import term_order
@@ -136,6 +136,11 @@ def _single_term_exponents(parsed_vars, expr: str):
     return next(iter(poly.terms)), poly
 
 
+def _search_settings(config: Config) -> tuple:
+    """k_max, term order, generator cap and S-pair cap, as integrality takes them."""
+    return config.k_max, term_order(config.order), config.generator_cap, config.spair_cap
+
+
 # -- command handlers ----------------------------------------------------------
 
 
@@ -189,66 +194,40 @@ def _cmd_closure_member(args, config: Config) -> int:
     return EXIT_OK if member else EXIT_CHECK_FAILED
 
 
-def _certify_element(poly, j_ideal, parsed, config, order) -> dict | None:
-    if isinstance(j_ideal, MonomialIdeal) and poly.is_monomial():
-        exps, coeff = next(iter(poly.terms.items()))
-        certificate = integrality.monomial_certificate(exps, j_ideal)
-        if coeff != 1:
-            certificate = certificate.scale_root(coeff)
-        return serialize.certificate_payload(certificate, j_ideal, parsed.variables)
-    j_poly = to_poly_ideal(j_ideal)
-    extended = poly_ideal_sum(j_poly, PolyIdeal(j_poly.dim, (poly,)))
-    witness = integrality.reduction_number(
-        j_poly, extended, config.k_max, order, config.generator_cap, config.spair_cap
-    )
-    if not isinstance(witness, integrality.ReductionWitness):
-        return None
-    certificate = integrality.cramer_certificate(
-        poly, j_poly, extended, witness.k, order, config.generator_cap, config.spair_cap
-    )
-    return serialize.certificate_payload(certificate, j_ideal, parsed.variables)
-
-
 def _cmd_is_integral(args, config: Config) -> int:
     if (args.over is None) == (args.element is None):
         raise PreconditionError("provide exactly one of an ideal file or --element")
     parsed_j = load_ideal(args.base)
-    order = term_order(config.order)
+    settings = _search_settings(config)
     payload: dict = {}
-    certificates: list[dict] = []
+    certificates = []
     if args.element is not None:
         poly = parse_polynomial(args.element, parsed_j.variables)
-        verdict = integrality.is_integral_element(
-            poly, parsed_j.ideal, config.k_max, order, config.generator_cap, config.spair_cap
-        )
         payload["element"] = serialize.format_polynomial(poly, parsed_j.variables)
-        if args.certify and verdict.is_yes:
-            cert = _certify_element(poly, parsed_j.ideal, parsed_j, config, order)
-            if cert is not None:
-                certificates.append(cert)
+        if args.certify:
+            verdict, certificate = integrality.certify_element(poly, parsed_j.ideal, *settings)
+            certificates = [certificate]
+        else:
+            verdict = integrality.is_integral_element(poly, parsed_j.ideal, *settings)
     else:
         parsed_i = load_ideal(args.over)
         _require_same_vars(parsed_j, parsed_i)
-        verdict = integrality.is_integral_ideal(
-            parsed_j.ideal,
-            parsed_i.ideal,
-            config.k_max,
-            order,
-            config.generator_cap,
-            config.spair_cap,
-        )
+        verdict = integrality.is_integral_ideal(parsed_j.ideal, parsed_i.ideal, *settings)
         if args.certify and verdict.is_yes:
-            for target in to_poly_ideal(parsed_i.ideal).gens:
-                cert = _certify_element(target, parsed_j.ideal, parsed_j, config, order)
-                if cert is not None:
-                    certificates.append(cert)
+            certificates = [
+                integrality.certify_element(g, parsed_j.ideal, *settings)[1]
+                for g in to_poly_ideal(parsed_i.ideal).gens
+            ]
     payload["verdict"] = verdict.kind
     if verdict.is_unknown:
         payload["k_max"] = verdict.k_max
     if args.certify:
-        payload["certificates"] = certificates
-    text = f"integral: {verdict}"
-    _emit(payload, text, config.output)
+        payload["certificates"] = [
+            serialize.certificate_payload(c, parsed_j.ideal, parsed_j.variables)
+            for c in certificates
+            if c is not None
+        ]
+    _emit(payload, f"integral: {verdict}", config.output)
     return EXIT_OK if verdict.is_yes else EXIT_CHECK_FAILED
 
 
@@ -256,15 +235,7 @@ def _cmd_reduction_number(args, config: Config) -> int:
     parsed_j = load_ideal(args.base)
     parsed_i = load_ideal(args.over)
     _require_same_vars(parsed_j, parsed_i)
-    order = term_order(config.order)
-    outcome = integrality.reduction_number(
-        parsed_j.ideal,
-        parsed_i.ideal,
-        config.k_max,
-        order,
-        config.generator_cap,
-        config.spair_cap,
-    )
+    outcome = integrality.reduction_number(parsed_j.ideal, parsed_i.ideal, *_search_settings(config))
     if isinstance(outcome, integrality.ReductionWitness):
         payload = {"k": outcome.k, "verified": outcome.verified}
         _emit(payload, f"reduction number: {outcome.k}", config.output)

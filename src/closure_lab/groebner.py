@@ -258,12 +258,12 @@ def poly_ideal_member(
 def in_poly_ideal(
     f: Polynomial, ideal: PolyIdeal, order: TermOrder = GREVLEX, spair_cap: int = DEFAULT_SPAIR_CAP
 ) -> bool:
-    """Membership verdict via normal form, with no lift. For homogeneous f
-    and generators, the degree-deg(f) part of f = sum(q_i * g_i) involves
-    only generators of degree <= deg(f), so the basis uses those alone."""
+    """Membership verdict with no lift; a literal generator needs no basis. For
+    homogeneous f and generators, the degree-deg(f) part of f = sum(q_i * g_i)
+    involves only generators of degree <= deg(f), so the basis uses those alone."""
     if f.dim != ideal.dim:
         raise DimensionMismatchError("element dimension differs from ideal")
-    if f.is_zero:
+    if f.is_zero or f in ideal.gens:
         return True
     gens = ideal.gens
     degrees = [set(map(sum, p.terms)) for p in (f, *gens)]

@@ -14,6 +14,9 @@ extracts two kinds of explicit certificates:
   expand det(t * Id - matrix), which vanishes at the element because the
   ambient polynomial ring is a domain.
 
+:func:`certify_element` is the one entry point that picks between them: it
+answers an element query and certifies a yes at the k its own search found.
+
 A certificate keeps, for each a_i, only multisets of i indices into J's
 generators and one multiplier per multiset. Its degree, its coefficients
 and the products it cites are computed from those, so a certificate is
@@ -203,52 +206,56 @@ def reduction_number(
 ) -> ReductionWitness | NotUpTo:
     """Least k <= k_max with I^(k+1) = J * I^k, each equality checked exactly.
 
-    Requires J to be a subideal of I; a generator of J that is literally a
-    generator of I needs no membership test. Writing I = J + E, with E the
+    Requires J to be a subideal of I. Writing I = J + E, with E the
     generators of I not among J's, then gives I^(k+1) = J * I^k + E^(k+1),
     so for both kinds of input the test is E^(k+1) in J * I^k: by
     ``ideal_contains`` for monomials, else generator by generator by
-    ``in_poly_ideal``, which computes no lift. J * I^k is grown from the
-    product below and E^(k+1) from E^k, so no power of I is built, and
-    ``generator_cap`` bounds those two.
+    ``in_poly_ideal``, which computes no lift and needs no basis for a
+    literal generator. J * I^k is grown from the product below and E^(k+1)
+    from E^k, so no power of I is built, and ``generator_cap`` bounds those
+    two.
     """
     if k_max < 1:
         raise PreconditionError(f"k_max must be positive, got {k_max}")
     if j_ideal.dim != i_ideal.dim:
         raise DimensionMismatchError("ideals live in different rings")
     if isinstance(j_ideal, MonomialIdeal) and isinstance(i_ideal, MonomialIdeal):
-        if not ideal_contains(i_ideal, j_ideal):
-            raise PreconditionError("J must be contained in I")
-        extra = MonomialIdeal._from_valid(
-            i_ideal.dim, (g for g in i_ideal.gens if g not in j_ideal.gens)
-        )
-        product, extra_power = j_ideal, extra
-        for k in range(k_max + 1):
-            if k:
-                product = ideal_product(product, i_ideal, generator_cap)  # J * I^k
-                extra_power = ideal_product(extra_power, extra, generator_cap)
-            if ideal_contains(product, extra_power):
-                return ReductionWitness(k)
-        return NotUpTo(k_max)
+        multiply, contains = ideal_product, ideal_contains
+    else:
+        j_ideal, i_ideal = to_poly_ideal(j_ideal), to_poly_ideal(i_ideal)
+        multiply = poly_ideal_product
 
-    j_poly = to_poly_ideal(j_ideal)
-    i_poly = to_poly_ideal(i_ideal)
-    for g in j_poly.gens:
-        # A generator of J that is one of I's needs no Groebner basis of I;
-        # is_integral_ideal always asks about I = J + (...).
-        if g in i_poly.gens:
-            continue
-        if not in_poly_ideal(g, i_poly, order, spair_cap):
-            raise PreconditionError("J must be contained in I")
-    extra = PolyIdeal(i_poly.dim, tuple(g for g in i_poly.gens if g not in j_poly.gens))
-    product, extra_power = j_poly, extra
+        def contains(big: PolyIdeal, small: PolyIdeal) -> bool:
+            return all(in_poly_ideal(g, big, order, spair_cap) for g in small.gens)
+
+    if not contains(i_ideal, j_ideal):
+        raise PreconditionError("J must be contained in I")
+    extra = type(i_ideal)(i_ideal.dim, tuple(g for g in i_ideal.gens if g not in j_ideal.gens))
+    product, extra_power = j_ideal, extra
     for k in range(k_max + 1):
         if k:
-            product = poly_ideal_product(product, i_poly, generator_cap)  # J * I^k
-            extra_power = poly_ideal_product(extra_power, extra, generator_cap)
-        if all(in_poly_ideal(e, product, order, spair_cap) for e in extra_power.gens):
+            product = multiply(product, i_ideal, generator_cap)  # J * I^k
+            extra_power = multiply(extra_power, extra, generator_cap)
+        if contains(product, extra_power):
             return ReductionWitness(k)
     return NotUpTo(k_max)
+
+
+def _search(
+    j_ideal: Ideal, i_ideal: Ideal, k_max: int, order: TermOrder, generator_cap: int, spair_cap: int
+) -> tuple[TriState, PolyIdeal, ReductionWitness | None]:
+    """The general path's verdict for I over J, with J + I and the reduction
+    witness behind a yes (None for any other verdict, and for zero J)."""
+    j_poly, i_poly = to_poly_ideal(j_ideal), to_poly_ideal(i_ideal)
+    union = poly_ideal_sum(j_poly, i_poly)
+    if j_poly.is_zero:
+        return (YES if i_poly.is_zero else NO), union, None
+    # A unit J answers yes at k = 0 of the search: every generator of I lies
+    # in J * I^0 = J.
+    witness = reduction_number(j_poly, union, k_max, order, generator_cap, spair_cap)
+    if isinstance(witness, ReductionWitness):
+        return YES, union, witness
+    return unknown(k_max), union, None
 
 
 def is_integral_ideal(
@@ -268,21 +275,21 @@ def is_integral_ideal(
     """
     if j_ideal.dim != i_ideal.dim:
         raise DimensionMismatchError("ideals live in different rings")
-    if isinstance(j_ideal, MonomialIdeal) and isinstance(i_ideal, MonomialIdeal):
-        if j_ideal.is_zero:
-            return YES if i_ideal.is_zero else NO
+    monomial = isinstance(j_ideal, MonomialIdeal) and isinstance(i_ideal, MonomialIdeal)
+    if monomial and not j_ideal.is_zero:
         return YES if all(closure_member(j_ideal, g) for g in i_ideal.gens) else NO
-    j_poly = to_poly_ideal(j_ideal)
-    i_poly = to_poly_ideal(i_ideal)
-    if j_poly.is_zero:
-        return YES if i_poly.is_zero else NO
-    # A unit J answers yes at k = 0 of the search: every generator of I lies
-    # in J * I^0 = J.
-    union = poly_ideal_sum(j_poly, i_poly)
-    outcome = reduction_number(j_poly, union, k_max, order, generator_cap, spair_cap)
-    if isinstance(outcome, ReductionWitness):
-        return YES
-    return unknown(k_max)
+    return _search(j_ideal, i_ideal, k_max, order, generator_cap, spair_cap)[0]
+
+
+def _principal(f: Polynomial, j_ideal: Ideal) -> Ideal:
+    """The ideal (f), monomial when f and J both are."""
+    if f.is_zero:
+        raise PreconditionError("the element must be nonzero")
+    if f.dim != j_ideal.dim:
+        raise DimensionMismatchError("element dimension differs from ideal")
+    if isinstance(j_ideal, MonomialIdeal) and f.is_monomial():
+        return MonomialIdeal(f.dim, (next(iter(f.terms)),))
+    return PolyIdeal(f.dim, (f,))
 
 
 def is_integral_element(
@@ -300,15 +307,38 @@ def is_integral_element(
     yes when J is a reduction of J + (f) within k_max, no when J is zero,
     else unknown.
     """
-    if f.is_zero:
-        raise PreconditionError("the element must be nonzero")
-    if f.dim != j_ideal.dim:
-        raise DimensionMismatchError("element dimension differs from ideal")
-    if isinstance(j_ideal, MonomialIdeal) and f.is_monomial():
-        principal = MonomialIdeal(f.dim, (next(iter(f.terms)),))
-    else:
-        principal = PolyIdeal(f.dim, (f,))
+    principal = _principal(f, j_ideal)
     return is_integral_ideal(j_ideal, principal, k_max, order, generator_cap, spair_cap)
+
+
+def certify_element(
+    f: Polynomial,
+    j_ideal: Ideal,
+    k_max: int = DEFAULT_K_MAX,
+    order: TermOrder = GREVLEX,
+    generator_cap: int = DEFAULT_GENERATOR_CAP,
+    spair_cap: int = DEFAULT_SPAIR_CAP,
+) -> tuple[TriState, IntegralityCertificate | None]:
+    """The verdict of :func:`is_integral_element` and, on yes, its certificate.
+
+    A monomial f over a monomial J gets :func:`monomial_certificate`, its
+    root scaled by f's coefficient. Otherwise the determinant trick runs at
+    the k that the verdict's own reduction search found, over J + (f), so
+    the search runs once. Any verdict but yes comes with None.
+    """
+    principal = _principal(f, j_ideal)
+    if isinstance(principal, MonomialIdeal):
+        verdict = is_integral_ideal(j_ideal, principal)
+        if not verdict.is_yes:
+            return verdict, None
+        ((exps, coeff),) = f.terms.items()
+        return verdict, monomial_certificate(exps, j_ideal).scale_root(coeff)
+    verdict, union, witness = _search(j_ideal, principal, k_max, order, generator_cap, spair_cap)
+    if witness is None:
+        return verdict, None
+    return verdict, cramer_certificate(
+        f, j_ideal, union, witness.k, order, generator_cap, spair_cap
+    )
 
 
 # -- certificates -------------------------------------------------------------
@@ -413,9 +443,7 @@ def cramer_certificate(
         raise DimensionMismatchError("element and ideals must share one ring")
     if f.is_zero:
         raise PreconditionError("the element must be nonzero")
-    # A generator of I needs no basis of I; certifying f over J asks about
-    # I = J + (f).
-    if f not in i_poly.gens and not in_poly_ideal(f, i_poly, order, spair_cap):
+    if not in_poly_ideal(f, i_poly, order, spair_cap):
         raise PreconditionError("the element must belong to I")
     dim = f.dim
 

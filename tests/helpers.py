@@ -5,8 +5,8 @@ The oracles here deliberately re-derive answers from first principles
 with the simplex, scaling, cofactor expansion, ideal equality by reduced
 Groebner bases, division by whole polynomial operations, Buchberger's loop
 with every lcm and cofactor row recomputed in place, certificate checks by
-ideal membership) so library paths are checked against something they do not
-share code with.
+ideal membership, an element certified after a second reduction search) so
+library paths are checked against something they do not share code with.
 """
 
 from __future__ import annotations
@@ -31,9 +31,17 @@ from closure_lab.groebner import (
     poly_ideal_member,
     poly_ideal_power,
     poly_ideal_product,
+    poly_ideal_sum,
     to_poly_ideal,
 )
-from closure_lab.integrality import NotUpTo, ReductionWitness
+from closure_lab.integrality import (
+    NotUpTo,
+    ReductionWitness,
+    cramer_certificate,
+    is_integral_element,
+    monomial_certificate,
+    reduction_number,
+)
 from closure_lab.lab import ExponentRow, UniformExponentReport, witness_pair
 from closure_lab.monomials import (
     ExponentVector,
@@ -194,7 +202,7 @@ def reference_normal_form(
         for i, (lead_exps, lead_coeff) in enumerate(leads):
             if all(a <= b for a, b in zip(lead_exps, exps)):
                 shift = tuple(b - a for a, b in zip(lead_exps, exps))
-                factor = coeff / lead_coeff
+                factor = Fraction(coeff) / lead_coeff
                 quotients[i] += Polynomial.monomial(f.dim, shift, factor)
                 current = current - divisors[i] * Polynomial.monomial(f.dim, shift, factor)
                 break
@@ -236,7 +244,7 @@ def reference_buchberger(
 
     def add_element(poly: Polynomial, row: list[Polynomial]) -> None:
         lead_exps, lead_coeff = poly.leading_term(order)
-        inv = 1 / lead_coeff
+        inv = Fraction(1) / lead_coeff
         poly = poly.scale(inv)
         row = [q.scale(inv) for q in row]
         new_index = len(basis)
@@ -413,6 +421,36 @@ def reference_verify(certificate, ideal) -> bool:
         if any(poly_ideal_member(g, power) is None for g in products):
             return False
     return total.is_zero
+
+
+def two_search_certify(
+    f: Polynomial,
+    j_ideal,
+    k_max: int,
+    order: TermOrder = GREVLEX,
+    generator_cap: int = DEFAULT_GENERATOR_CAP,
+    spair_cap: int = DEFAULT_SPAIR_CAP,
+):
+    """``is-integral --element f --certify`` as the command once dispatched
+    it: the verdict, then on yes either the monomial certificate (its root
+    scaled when f's coefficient is not 1) or a second reduction search over
+    J + (f) and the determinant trick at the k it finds. Returns the verdict
+    and the certificate, or None."""
+    verdict = is_integral_element(f, j_ideal, k_max, order, generator_cap, spair_cap)
+    if not verdict.is_yes:
+        return verdict, None
+    if isinstance(j_ideal, MonomialIdeal) and f.is_monomial():
+        exps, coeff = next(iter(f.terms.items()))
+        certificate = monomial_certificate(exps, j_ideal)
+        return verdict, certificate if coeff == 1 else certificate.scale_root(coeff)
+    j_poly = to_poly_ideal(j_ideal)
+    extended = poly_ideal_sum(j_poly, PolyIdeal(j_poly.dim, (f,)))
+    witness = reduction_number(j_poly, extended, k_max, order, generator_cap, spair_cap)
+    if not isinstance(witness, ReductionWitness):
+        return verdict, None
+    return verdict, cramer_certificate(
+        f, j_poly, extended, witness.k, order, generator_cap, spair_cap
+    )
 
 
 def sheared_general_pair(

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from closure_lab import newton
+from closure_lab import integrality, newton
 from closure_lab.cli import main
 from closure_lab.groebner import GroebnerBasis
 from closure_lab.newton import polyhedron_of
@@ -83,6 +83,19 @@ def test_member_json_lifts_a_generator_to_its_unit_vector(capsys):
     code, out, _ = run_main(capsys, "member", path, "x^2*y^2*z^2 - x*z^2", "--order", "lex", "--json")
     assert code == 0
     assert json.loads(out)["quotients"] == ["0", "0", "1"]
+
+
+def test_member_answers_a_generator_under_any_spair_cap(capsys):
+    # A generator needs no basis, so neither form meets the S-pair cap.
+    for name, element, order in (
+        ("general.json", "x^2 - y", "grevlex"),
+        ("lex_rows.json", "x^2*y^2*z^2 - x*z^2", "lex"),
+    ):
+        path = str(ROOT / "ideals" / name)
+        flags = ("--order", order, "--spair-cap", "1")
+        assert run_main(capsys, "member", path, element, *flags) == (0, "member: true\n", "")
+        code, out, _ = run_main(capsys, "member", path, element, *flags, "--json")
+        assert code == 0 and json.loads(out)["member"] is True
 
 
 def test_closure_member_weights(ideal_file, capsys):
@@ -198,6 +211,23 @@ def test_certify_json_pins_bytes(capsys):
         '{"factors": [], "generators": [], "power": 3, "quotients": []}], "n": 3}], '
         '"element": "x^2 + x*y", "verdict": "yes"}\n'
     )
+
+
+def test_certify_element_runs_one_reduction_search(capsys, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return reduction_number(*args)
+
+    reduction_number = integrality.reduction_number
+    monkeypatch.setattr(integrality, "reduction_number", counting)
+    x3y3 = str(ROOT / "ideals" / "x3y3.json")
+    code, out, _ = run_main(
+        capsys, "is-integral", x3y3, "--element", "x^2*y^2+x^3*y", "--certify", "--json"
+    )
+    assert code == 0 and len(json.loads(out)["certificates"]) == 1
+    assert len(calls) == 1
 
 
 def test_certify_json_is_self_contained(ideal_file, capsys):

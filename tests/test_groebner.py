@@ -321,6 +321,21 @@ def test_a_generator_lifts_to_its_unit_vector_with_no_basis(monkeypatch):
             assert poly_ideal_member(g, ideal) == unit, (seed, g)
 
 
+def test_a_generator_is_a_member_with_no_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a generator's verdict built a basis")
+
+    monkeypatch.setattr(PolyIdeal, "groebner", refuse)
+    lex_rows = load_ideal(Path(__file__).resolve().parents[1] / "ideals" / "lex_rows.json").ideal
+    ideals = [lex_rows, PolyIdeal(2, (P("x^2 - y"), P("x*y - 1")))]
+    for seed in range(10):
+        ideals.append(sheared_general_pair(random.Random(seed), extras=2, repeat=False)[1])
+    for ideal in ideals:
+        for g in ideal.gens:
+            for order in (GREVLEX, LEX):
+                assert in_poly_ideal(g, ideal, order, spair_cap=1), g
+
+
 def _verdict_cases(seed):
     """(f, ideal) pairs: sheared pairs give homogeneous ideals and elements
     (non-homogeneous when I's generators absorb x_k * f_1), and random

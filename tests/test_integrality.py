@@ -21,6 +21,7 @@ from closure_lab.integrality import (
     ReductionWitness,
     TriState,
     bareiss_determinant,
+    certify_element,
     cramer_certificate,
     is_integral_element,
     is_integral_ideal,
@@ -40,6 +41,7 @@ from closure_lab.monomials import (
 from closure_lab.newton import closure, polyhedron_of
 from closure_lab.parsing import parse_polynomial
 from closure_lab.polynomials import Polynomial
+from closure_lab.serialize import canonical_json, certificate_payload, default_variables
 from helpers import (
     cofactor_determinant,
     equality_reduction_number,
@@ -47,6 +49,7 @@ from helpers import (
     random_nonzero_polynomial,
     reference_verify,
     sheared_general_pair,
+    two_search_certify,
 )
 
 
@@ -610,3 +613,52 @@ def test_certificates_are_built_and_checked_without_powers_or_bases(monkeypatch)
     cert = monomial_certificate((1,) * 9, diagonal)
     assert cert.degree == 9 and cert.proofs[-1].factors == (tuple(range(9)),)
     assert cert.verify(diagonal)
+
+
+# -- one entry point per element query --------------------------------------------
+
+
+def _certify_queries():
+    """(kind, f, J, k_max) element queries: monomial members of closure(J)
+    and monomials outside it, members scaled by a coefficient other than 1,
+    general elements over a monomial J, and the added generator of seeded
+    sheared pairs, some of which the search leaves unknown."""
+    rng = random.Random(24)
+    for member, ideal in _monomial_members(12):
+        yield "monomial", Polynomial.monomial(ideal.dim, member), ideal, 2
+        yield "scaled", Polynomial.monomial(ideal.dim, member, Fraction(-2, 3)), ideal, 2
+        point = tuple(rng.randint(0, 2) for _ in range(ideal.dim))
+        yield "monomial", Polynomial.monomial(ideal.dim, point), ideal, 2
+    for text, ideal in (("x*y + y^2", J22), ("x^2*y + x*y^2", mono(2, (3, 0), (0, 3)))):
+        yield "over monomial", P(text), ideal, 10
+    yield "over monomial", P("x + y"), J22, 2
+    for _ in range(6):
+        for extras, repeat in GENERAL_PAIR_KINDS:
+            j_poly, i_poly = sheared_general_pair(rng, extras, repeat)
+            yield "sheared", i_poly.gens[-1], j_poly, 2
+
+
+def test_certify_element_matches_the_two_search_dispatch():
+    seen = set()
+    for kind, f, j_ideal, k_max in _certify_queries():
+        verdict, certificate = certify_element(f, j_ideal, k_max)
+        expected_verdict, expected = two_search_certify(f, j_ideal, k_max)
+        assert verdict == expected_verdict, (kind, f, j_ideal)
+        assert verdict == is_integral_element(f, j_ideal, k_max)
+        assert (certificate is None) == (expected is None) == (not verdict.is_yes)
+        if certificate is not None:
+            variables = default_variables(f.dim)
+            assert canonical_json(certificate_payload(certificate, j_ideal, variables)) == (
+                canonical_json(certificate_payload(expected, j_ideal, variables))
+            )
+            assert certificate.verify(j_ideal)
+        seen.add((kind, verdict.kind))
+    assert seen >= {
+        ("monomial", "yes"),
+        ("monomial", "no"),
+        ("scaled", "yes"),
+        ("over monomial", "yes"),
+        ("over monomial", "unknown"),
+        ("sheared", "yes"),
+        ("sheared", "unknown"),
+    }
