@@ -31,6 +31,7 @@ from .integrality import (
     ReductionWitness,
     TriState,
     certify_element,
+    certify_ideal,
     cramer_certificate,
     is_integral_element,
     is_integral_ideal,

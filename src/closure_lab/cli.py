@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 mathematical "no/fail" verdict on check commands,
 2 usage or parse errors, 3 resource-cap overflow.
 
 Global configuration comes from built-in defaults, then the JSON file named
-by the CLOSURE_LAB_CONFIG environment variable, then command-line flags.
+by the CLOSURE_LAB_CONFIG environment variable (or --config), then
+command-line flags. A command has a flag only for each setting it reads, as
+``_COMMANDS`` declares; a config file may hold every setting.
 """
 
 from __future__ import annotations
@@ -34,69 +36,65 @@ EXIT_USAGE = 2
 EXIT_TOO_LARGE = 3
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to a JSON config file")
-    common.add_argument("--json", action="store_true", help="emit JSON output")
-    common.add_argument("--output", choices=("text", "json", "csv"), help="output format")
-    common.add_argument("--k-max", type=int, dest="k_max")
-    common.add_argument("--n-max", type=int, dest="n_max")
-    common.add_argument("--generator-cap", type=int, dest="generator_cap")
-    common.add_argument("--box-point-cap", type=int, dest="box_point_cap")
-    common.add_argument("--spair-cap", type=int, dest="spair_cap")
-    common.add_argument("--order", choices=("grevlex", "lex"))
-    common.add_argument("--seed", type=int)
-    return common
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="closure-lab",
         description="Integral closures, reductions and integral-dependence "
         "certificates for ideals in polynomial rings over the rationals.",
     )
-    common = _common_flags()
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="path to a JSON config file")
+    common.add_argument("--json", action="store_true", help="emit JSON output")
+    common.add_argument("--output", choices=("text", "json", "csv"), help="output format")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("closure", parents=[common], help="integral closure of a monomial ideal")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        """The command's parser, with a flag for each setting it reads and no other."""
+        p = sub.add_parser(name, parents=[common], help=help)
+        for setting in _COMMANDS[name][1]:
+            kind = {"choices": ("grevlex", "lex")} if setting == "order" else {"type": int}
+            p.add_argument("--" + setting.replace("_", "-"), **kind)
+        return p
+
+    p = command("closure", "integral closure of a monomial ideal")
     p.add_argument("ideal", help="ideal JSON file")
 
-    p = sub.add_parser("member", parents=[common], help="ideal membership")
+    p = command("member", "ideal membership")
     p.add_argument("ideal", help="ideal JSON file")
     p.add_argument("element", help="polynomial expression")
 
-    p = sub.add_parser("closure-member", parents=[common], help="membership in the integral closure")
+    p = command("closure-member", "membership in the integral closure")
     p.add_argument("ideal", help="monomial ideal JSON file")
     p.add_argument("element", help="monomial expression")
 
-    p = sub.add_parser("is-integral", parents=[common], help="integrality of an ideal or element")
+    p = command("is-integral", "integrality of an ideal or element")
     p.add_argument("base", help="ideal JSON file for J")
     p.add_argument("over", nargs="?", help="ideal JSON file for I")
     p.add_argument("--element", help="polynomial expression instead of an ideal")
     p.add_argument("--certify", action="store_true", help="emit integrality certificates")
 
-    p = sub.add_parser("reduction-number", parents=[common], help="least k with I^(k+1) = J*I^k")
+    p = command("reduction-number", "least k with I^(k+1) = J*I^k")
     p.add_argument("base", help="ideal JSON file for J")
     p.add_argument("over", help="ideal JSON file for I")
 
-    p = sub.add_parser("exponents", parents=[common], help="uniform exponent report")
+    p = command("exponents", "uniform exponent report")
     p.add_argument("ideal", help="monomial ideal JSON file")
 
-    p = sub.add_parser("bs-check", parents=[common], help="shifted-containment check closure(J^n) in J^(n-d+1)")
+    p = command("bs-check", "shifted-containment check closure(J^n) in J^(n-d+1)")
     p.add_argument("ideal", help="monomial ideal JSON file")
 
-    p = sub.add_parser("chain-check", parents=[common], help="containment chain J^n in closure(J)^n in closure(J^n)")
+    p = command("chain-check", "containment chain J^n in closure(J)^n in closure(J^n)")
     p.add_argument("ideal", help="monomial ideal JSON file")
 
-    p = sub.add_parser("witness", parents=[common], help="lower-bound witness pair")
+    p = command("witness", "lower-bound witness pair")
     p.add_argument("d", type=int, help="ambient dimension, at least 2")
     p.add_argument("--verify", action="store_true", help="run the three exact checks")
 
-    p = sub.add_parser("lift-bound", parents=[common], help="uniform exponent bound for a nilpotent extension")
+    p = command("lift-bound", "uniform exponent bound for a nilpotent extension")
     p.add_argument("k", type=int, help="exponent of the reduced ring")
     p.add_argument("constants", help="comma-separated uniform constants, or '' for none")
 
-    p = sub.add_parser("sample-suite", parents=[common], help="seeded randomized property run")
+    p = command("sample-suite", "seeded randomized property run")
     p.add_argument("--trials", type=int, default=20)
 
     return parser
@@ -137,7 +135,7 @@ def _single_term_exponents(parsed_vars, expr: str):
 
 
 def _search_settings(config: Config) -> tuple:
-    """k_max, term order, generator cap and S-pair cap, as integrality takes them."""
+    """The settings in ``_SEARCH``, as integrality takes them."""
     return config.k_max, term_order(config.order), config.generator_cap, config.spair_cap
 
 
@@ -212,12 +210,12 @@ def _cmd_is_integral(args, config: Config) -> int:
     else:
         parsed_i = load_ideal(args.over)
         _require_same_vars(parsed_j, parsed_i)
-        verdict = integrality.is_integral_ideal(parsed_j.ideal, parsed_i.ideal, *settings)
-        if args.certify and verdict.is_yes:
-            certificates = [
-                integrality.certify_element(g, parsed_j.ideal, *settings)[1]
-                for g in to_poly_ideal(parsed_i.ideal).gens
-            ]
+        if args.certify:
+            verdict, certificates = integrality.certify_ideal(
+                parsed_j.ideal, parsed_i.ideal, *settings
+            )
+        else:
+            verdict = integrality.is_integral_ideal(parsed_j.ideal, parsed_i.ideal, *settings)
     payload["verdict"] = verdict.kind
     if verdict.is_unknown:
         payload["k_max"] = verdict.k_max
@@ -348,39 +346,41 @@ def _cmd_sample_suite(args, config: Config) -> int:
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
-_HANDLERS = {
-    "closure": _cmd_closure,
-    "member": _cmd_member,
-    "closure-member": _cmd_closure_member,
-    "is-integral": _cmd_is_integral,
-    "reduction-number": _cmd_reduction_number,
-    "exponents": _cmd_exponents,
-    "bs-check": _cmd_bs_check,
-    "chain-check": _cmd_chain_check,
-    "witness": _cmd_witness,
-    "lift-bound": _cmd_lift_bound,
-    "sample-suite": _cmd_sample_suite,
+# Each command's handler and the Config settings that handler reads, which
+# are the only settings flags its parser gets and the only ones main passes on.
+_SEARCH = ("k_max", "order", "generator_cap", "spair_cap")
+_LAB = ("n_max", "generator_cap", "box_point_cap")
+_COMMANDS = {
+    "closure": (_cmd_closure, ("box_point_cap",)),
+    "member": (_cmd_member, ("order", "spair_cap")),
+    "closure-member": (_cmd_closure_member, ()),
+    "is-integral": (_cmd_is_integral, _SEARCH),
+    "reduction-number": (_cmd_reduction_number, _SEARCH),
+    "exponents": (_cmd_exponents, _LAB),
+    "bs-check": (_cmd_bs_check, _LAB),
+    "chain-check": (_cmd_chain_check, _LAB),
+    "witness": (_cmd_witness, ()),
+    "lift-bound": (_cmd_lift_bound, ()),
+    "sample-suite": (
+        _cmd_sample_suite, ("seed", "n_max", "k_max", "generator_cap", "box_point_cap")
+    ),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, settings = _COMMANDS[args.command]
     try:
+        if args.json and args.output not in (None, "json"):
+            raise PreconditionError(f"--json conflicts with --output {args.output}")
         config = load_config(
-            getattr(args, "config", None),
-            k_max=getattr(args, "k_max", None),
-            n_max=getattr(args, "n_max", None),
-            generator_cap=getattr(args, "generator_cap", None),
-            box_point_cap=getattr(args, "box_point_cap", None),
-            spair_cap=getattr(args, "spair_cap", None),
-            order=getattr(args, "order", None),
-            seed=getattr(args, "seed", None),
+            args.config,
             output=args.output or ("json" if args.json else None),
+            **{name: getattr(args, name) for name in settings},
         )
         if config.output == "csv" and args.command not in _CSV_COMMANDS:
             raise PreconditionError("csv output is not defined for this command")
-        return _HANDLERS[args.command](args, config)
+        return handler(args, config)
     except InstanceTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE

@@ -129,7 +129,7 @@ def buchberger(
         lms.append(lead_exps)
         if len(pairs) > spair_cap:
             raise InstanceTooLargeError(
-                f"S-pair queue reached {len(pairs)}, cap is {spair_cap}"
+                f"S-pair queue reached {len(pairs)}, cap is {spair_cap} (spair_cap)"
             )
 
     one = Polynomial.one(dim)
@@ -142,7 +142,9 @@ def buchberger(
         del pairs[(i, j)]
         processed += 1
         if processed > spair_cap:
-            raise InstanceTooLargeError(f"processed {processed} S-pairs, cap is {spair_cap}")
+            raise InstanceTooLargeError(
+                f"processed {processed} S-pairs, cap is {spair_cap} (spair_cap)"
+            )
         shift_i = Polynomial.monomial(dim, [a - b for a, b in zip(pair_lcm, lms[i])])
         shift_j = Polynomial.monomial(dim, [a - b for a, b in zip(pair_lcm, lms[j])], -1)
         spoly = shift_i * basis[i] + shift_j * basis[j]
@@ -291,7 +293,7 @@ def poly_ideal_product(
     products = tuple(dict.fromkeys(g * h for g in a.gens for h in b.gens))
     if len(products) > generator_cap:
         raise InstanceTooLargeError(
-            f"product has {len(products)} generators, cap is {generator_cap}"
+            f"product has {len(products)} generators, cap is {generator_cap} (generator_cap)"
         )
     return PolyIdeal(a.dim, products)
 

@@ -16,6 +16,7 @@ extracts two kinds of explicit certificates:
 
 :func:`certify_element` is the one entry point that picks between them: it
 answers an element query and certifies a yes at the k its own search found.
+:func:`certify_ideal` answers an ideal query and certifies each generator.
 
 A certificate keeps, for each a_i, only multisets of i indices into J's
 generators and one multiplier per multiset. Its degree, its coefficients
@@ -339,6 +340,45 @@ def certify_element(
     return verdict, cramer_certificate(
         f, j_ideal, union, witness.k, order, generator_cap, spair_cap
     )
+
+
+def certify_ideal(
+    j_ideal: Ideal,
+    i_ideal: Ideal,
+    k_max: int = DEFAULT_K_MAX,
+    order: TermOrder = GREVLEX,
+    generator_cap: int = DEFAULT_GENERATOR_CAP,
+    spair_cap: int = DEFAULT_SPAIR_CAP,
+) -> tuple[TriState, tuple[IntegralityCertificate, ...]]:
+    """The verdict of :func:`is_integral_ideal` and, on yes, one certificate
+    per generator of I, in I's order; any other verdict comes with none.
+
+    Each generator g is certified by :func:`certify_element`. Reduction
+    numbers are not monotone in the ideal, so g's own search over J + (g)
+    may exhaust k_max where the search over J + I did not; g is then
+    certified by the determinant trick over J + I at that search's k, since
+    (J+I)^(k+1) = J * (J+I)^k gives g * (J+I)^k in J * (J+I)^k.
+    """
+    if j_ideal.dim != i_ideal.dim:
+        raise DimensionMismatchError("ideals live in different rings")
+    if isinstance(j_ideal, MonomialIdeal) and isinstance(i_ideal, MonomialIdeal):
+        # Decided exactly, so every generator's own verdict is yes too.
+        verdict, witness = is_integral_ideal(j_ideal, i_ideal), None
+    else:
+        verdict, union, witness = _search(
+            j_ideal, i_ideal, k_max, order, generator_cap, spair_cap
+        )
+    if not verdict.is_yes:
+        return verdict, ()
+    certificates = []
+    for g in to_poly_ideal(i_ideal).gens:
+        certificate = certify_element(g, j_ideal, k_max, order, generator_cap, spair_cap)[1]
+        if certificate is None:
+            certificate = cramer_certificate(
+                g, j_ideal, union, witness.k, order, generator_cap, spair_cap
+            )
+        certificates.append(certificate)
+    return verdict, tuple(certificates)
 
 
 # -- certificates -------------------------------------------------------------

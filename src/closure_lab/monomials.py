@@ -182,6 +182,7 @@ def ideal_product(
     if len(result.gens) > generator_cap:
         raise InstanceTooLargeError(
             f"product has {len(result.gens)} minimal generators, cap is {generator_cap}"
+            " (generator_cap)"
         )
     return result
 

@@ -206,7 +206,7 @@ def closure(
     if prefixes > box_point_cap:
         raise InstanceTooLargeError(
             f"closure box has {prefixes} prefixes over the first {ideal.dim - 1}"
-            f" coordinates, cap is {box_point_cap}"
+            f" coordinates, cap is {box_point_cap} (box_point_cap)"
         )
     if ideal.dim == 1:  # J = (x^a), whose power (x^(n a)) is its own closure
         return MonomialIdeal._from_minimal(1, [bounds])

@@ -278,7 +278,7 @@ def reference_buchberger(
         lms.append(lead_exps)
         if len(pairs) > spair_cap:
             raise InstanceTooLargeError(
-                f"S-pair queue reached {len(pairs)}, cap is {spair_cap}"
+                f"S-pair queue reached {len(pairs)}, cap is {spair_cap} (spair_cap)"
             )
 
     for k, g in enumerate(generators):
@@ -292,7 +292,9 @@ def reference_buchberger(
         pairs.remove((i, j))
         processed += 1
         if processed > spair_cap:
-            raise InstanceTooLargeError(f"processed {processed} S-pairs, cap is {spair_cap}")
+            raise InstanceTooLargeError(
+                f"processed {processed} S-pairs, cap is {spair_cap} (spair_cap)"
+            )
         pair_lcm = _lcm(lms[i], lms[j])
         shift_i = tuple(a - b for a, b in zip(pair_lcm, lms[i]))
         shift_j = tuple(a - b for a, b in zip(pair_lcm, lms[j]))

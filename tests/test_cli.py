@@ -3,13 +3,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from closure_lab import integrality, newton
+from closure_lab import cli, integrality, newton
 from closure_lab.cli import main
 from closure_lab.groebner import GroebnerBasis
 from closure_lab.newton import polyhedron_of
@@ -189,6 +190,24 @@ def _recheck_by_multiplying_out(cert: dict, variables: list[str]) -> None:
     assert total.is_zero
 
 
+def test_is_integral_ideal_form_certifies_every_generator(ideal_file, capsys):
+    # (x^4, y^4) in (x, y)^4 sheared by x -> x + y: the verdict's search
+    # answers k = 1 at k_max 2, but (x+y)^3*y and (x+y)*y^3 over J alone
+    # need k = 3, so their certificates come from the search over J + I
+    j_path = ideal_file("j.json", {"vars": ["x", "y"], "generators": ["(x+y)^4", "y^4"]})
+    powers = ["(x+y)^4", "(x+y)^3*y", "y^4", "(x+y)^2*y^2", "(x+y)*y^3"]
+    i_path = ideal_file("i.json", {"vars": ["x", "y"], "generators": powers})
+    code, out, _ = run_main(
+        capsys, "is-integral", j_path, i_path, "--k-max", "2", "--certify", "--json"
+    )
+    assert code == 0
+    certificates = json.loads(out)["certificates"]
+    assert [cert["n"] for cert in certificates] == [1, 5, 1, 3, 5]
+    for cert, power in zip(certificates, powers, strict=True):
+        assert parse_polynomial(cert["element"], ["x", "y"]) == parse_polynomial(power, ["x", "y"])
+        _recheck_by_multiplying_out(cert, ["x", "y"])
+
+
 def test_certify_json_pins_bytes(capsys):
     x2y2 = str(ROOT / "ideals" / "x2y2.json")
     code, out, _ = run_main(capsys, "is-integral", x2y2, "--element", "x*y", "--certify", "--json")
@@ -288,7 +307,7 @@ def test_reduction_number_cap_bounds_the_products_it_builds(ideal_file, capsys):
     code, _, err = run_main(
         capsys, "reduction-number", j_path, i_path, "--k-max", "4", "--generator-cap", "4"
     )
-    assert code == 3 and "cap is 4" in err
+    assert code == 3 and "cap is 4 (generator_cap)" in err
 
 
 def test_exponents_formats(ideal_file, capsys):
@@ -314,7 +333,7 @@ def test_exponents_cap_meets_no_power_above_n_max(capsys):
     assert code == 0 and not err
     assert out.splitlines()[-1] == "k_bar = 0, k_cl = 0"
     code, _, err = run_main(capsys, "exponents", path, "--n-max", "2", "--generator-cap", "4")
-    assert code == 3 and "product has 5 minimal generators, cap is 4" in err
+    assert code == 3 and "product has 5 minimal generators, cap is 4 (generator_cap)" in err
 
 
 def test_checks_and_witness(ideal_file, capsys):
@@ -332,10 +351,8 @@ def test_checks_and_witness(ideal_file, capsys):
 
 
 def test_witness_verify_builds_no_power(capsys):
-    # (c) cites one product of d - 1 generators of I, so the generator cap
-    # does not bound it and I^7 (116,280 generators) is never built at d = 8
-    code, out, _ = run_main(capsys, "witness", "3", "--verify", "--generator-cap", "5")
-    assert code == 0 and out.strip().endswith("-> pass")
+    # (c) cites one product of d - 1 generators of I, so I^7 (116,280
+    # generators) is never built at d = 8
     code, out, _ = run_main(capsys, "witness", "8", "--verify", "--json")
     assert code == 0
     assert json.loads(out)["passed"] is True
@@ -430,9 +447,43 @@ def test_config_rejects_booleans(ideal_file, capsys, tmp_path, monkeypatch):
 
 
 def test_cap_overflow_exit_code(ideal_file, capsys):
+    # each cap exit names the config key of the cap it hit
     path = ideal_file("big.json", {"vars": ["x", "y"], "generators": ["x^9", "y^9"]})
-    code, _, err = run_main(capsys, "closure", path, "--box-point-cap", "5")
-    assert code == 3 and "cap" in err
+    general = str(ROOT / "ideals" / "general.json")
+    lex_rows = str(ROOT / "ideals" / "lex_rows.json")
+    for argv, message in (
+        (
+            ("closure", path, "--box-point-cap", "5"),
+            "closure box has 10 prefixes over the first 1 coordinates, cap is 5 (box_point_cap)",
+        ),
+        (
+            ("is-integral", general, "--element", "x*y", "--generator-cap", "3"),
+            "product has 5 generators, cap is 3 (generator_cap)",
+        ),
+        (
+            ("member", general, "x^3 - 1", "--spair-cap", "1"),
+            "processed 2 S-pairs, cap is 1 (spair_cap)",
+        ),
+        (
+            ("member", lex_rows, "x", "--order", "lex", "--spair-cap", "3"),
+            "S-pair queue reached 4, cap is 3 (spair_cap)",
+        ),
+    ):
+        assert run_main(capsys, *argv) == (3, "", f"error: {message}\n"), argv
+
+
+def test_json_conflicting_with_output_exits_2(ideal_file, capsys):
+    path = ideal_file("j.json", X2Y2)
+    for fmt in ("text", "csv"):
+        code, out, err = run_main(
+            capsys, "is-integral", path, "--element", "x*y", "--json", "--output", fmt
+        )
+        assert code == 2 and out == ""
+        assert "--json" in err and f"--output {fmt}" in err
+    code, out, _ = run_main(
+        capsys, "is-integral", path, "--element", "x*y", "--json", "--output", "json"
+    )
+    assert (code, out) == (0, '{"element": "x*y", "verdict": "yes"}\n')
 
 
 def test_csv_rejected_where_undefined(ideal_file, capsys):
@@ -511,3 +562,106 @@ def test_certify_scaled_monomial_element(ideal_file, capsys):
     cert = payload["certificates"][0]
     assert cert["element"] == "2*x*y"
     assert cert["coefficients"] == ["0", "-4*x^2*y^2"]
+
+
+# Positional arguments that parse for each command; the files need not exist.
+POSITIONALS = {
+    "closure": ["j.json"],
+    "member": ["j.json", "x"],
+    "closure-member": ["j.json", "x"],
+    "is-integral": ["j.json", "i.json"],
+    "reduction-number": ["j.json", "i.json"],
+    "exponents": ["j.json"],
+    "bs-check": ["j.json"],
+    "chain-check": ["j.json"],
+    "witness": ["3"],
+    "lift-bound": ["2", "3"],
+    "sample-suite": [],
+}
+SETTINGS = ("k_max", "n_max", "generator_cap", "box_point_cap", "spair_cap", "order", "seed")
+
+
+def _flag(setting: str) -> str:
+    return "--" + setting.replace("_", "-")
+
+
+def test_every_command_declares_its_settings():
+    assert set(cli._COMMANDS) == set(POSITIONALS)
+    for _, settings in cli._COMMANDS.values():
+        assert set(settings) <= set(SETTINGS)
+
+
+@pytest.mark.parametrize("command", sorted(POSITIONALS))
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_settings_flags_exist_only_where_read(command, setting, capsys):
+    value = "lex" if setting == "order" else "3"
+    argv = [command, *POSITIONALS[command], _flag(setting), value]
+    if setting in cli._COMMANDS[command][1]:
+        args = cli.build_parser().parse_args(argv)
+        assert str(getattr(args, setting)) == value
+    else:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert f"unrecognized arguments: {_flag(setting)} {value}" in captured.err
+
+
+@pytest.mark.parametrize("command", sorted(POSITIONALS))
+def test_help_lists_exactly_the_settings_flags(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    settings = cli._COMMANDS[command][1]
+    assert listed & {_flag(s) for s in SETTINGS} == {_flag(s) for s in settings}
+
+
+class _RecordingConfig:
+    """A Config that records which of its fields are read."""
+
+    def __init__(self, config):
+        self._config = config
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._config, name)
+
+
+def test_handlers_read_only_their_declared_settings(ideal_file, capsys, monkeypatch):
+    configs = []
+    load_config = cli.load_config
+
+    def recording(*args, **kwargs):
+        configs.append(_RecordingConfig(load_config(*args, **kwargs)))
+        return configs[-1]
+
+    monkeypatch.setattr(cli, "load_config", recording)
+    j_path = ideal_file("j.json", X2Y2)
+    i_path = ideal_file("i.json", FULL)
+    general = str(ROOT / "ideals" / "general.json")
+    runs = [
+        ("closure", j_path),
+        ("member", j_path, "x^2*y"),
+        ("member", general, "x^2 - y", "--json"),
+        ("member", general, "x*y"),
+        ("closure-member", j_path, "x*y", "--json"),
+        ("is-integral", j_path, i_path, "--certify"),
+        ("is-integral", j_path, "--element", "x*y + x^2", "--certify"),
+        ("is-integral", j_path, "--element", "x + y", "--k-max", "1"),
+        ("reduction-number", j_path, i_path),
+        ("exponents", j_path, "--n-max", "2", "--output", "csv"),
+        ("bs-check", j_path, "--n-max", "2"),
+        ("chain-check", j_path, "--n-max", "2"),
+        ("witness", "3", "--verify"),
+        ("witness", "2"),
+        ("lift-bound", "2", "3,4"),
+        ("sample-suite", "--trials", "2", "--n-max", "2", "--output", "csv"),
+    ]
+    for argv in runs:
+        configs.clear()
+        assert run_main(capsys, *argv)[0] in (0, 1), argv
+        (config,) = configs
+        assert config.read - {"output"} <= set(cli._COMMANDS[argv[0]][1]), argv
+    assert {argv[0] for argv in runs} == set(cli._COMMANDS)

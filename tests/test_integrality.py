@@ -22,6 +22,7 @@ from closure_lab.integrality import (
     TriState,
     bareiss_determinant,
     certify_element,
+    certify_ideal,
     cramer_certificate,
     is_integral_element,
     is_integral_ideal,
@@ -662,3 +663,43 @@ def test_certify_element_matches_the_two_search_dispatch():
         ("sheared", "yes"),
         ("sheared", "unknown"),
     }
+
+
+def test_certify_ideal_certifies_every_generator():
+    # (x^4, y^4) in (x, y)^4 after the shear x -> x + y: the search over J + I
+    # answers k = 1, but the searches over J + (g) for g = (x+y)^3*y and
+    # (x+y)*y^3 need k = 3, so those two come from the determinant trick over
+    # J + I at k = 1, of degree 5 = the number of generators of J + I.
+    j_ideal = PolyIdeal(2, (P("(x + y)^4"), P("y^4")))
+    powers = ("(x+y)^4", "(x+y)^3*y", "y^4", "(x+y)^2*y^2", "(x+y)*y^3")
+    i_ideal = PolyIdeal(2, tuple(P(g) for g in powers))
+    verdict, certificates = certify_ideal(j_ideal, i_ideal, k_max=2)
+    assert verdict == YES
+    assert [c.element for c in certificates] == list(i_ideal.gens)
+    own = [certify_element(g, j_ideal, k_max=2)[1] for g in i_ideal.gens]
+    assert [c is None for c in own] == [False, True, False, False, True]
+    assert [c.degree for c in certificates] == [1, 5, 1, 3, 5]
+    for certificate, expected in zip(certificates, own):
+        assert certificate.verify(j_ideal) and reference_verify(certificate, j_ideal)
+        if expected is not None:
+            assert certificate == expected
+
+
+def test_certify_ideal_matches_the_verdict_on_seeded_pairs():
+    seen = set()
+    for seed in range(12):
+        rng = random.Random(seed)
+        for extras, repeat in GENERAL_PAIR_KINDS:
+            j_poly, i_poly = sheared_general_pair(rng, extras, repeat)
+            verdict, certificates = certify_ideal(j_poly, i_poly, k_max=2)
+            assert verdict == is_integral_ideal(j_poly, i_poly, k_max=2)
+            assert len(certificates) == (len(i_poly.gens) if verdict.is_yes else 0)
+            for g, certificate in zip(i_poly.gens, certificates):
+                assert certificate.element == g and certificate.verify(j_poly)
+            seen.add(verdict.kind)
+        j_ideal = random_monomial_ideal(rng, 2, max_exp=3)
+        i_ideal = closure(j_ideal, n=1)
+        verdict, certificates = certify_ideal(j_ideal, i_ideal)
+        assert verdict == YES and len(certificates) == len(i_ideal.gens)
+        assert all(c.verify(j_ideal) for c in certificates)
+    assert seen == {"yes", "unknown"}

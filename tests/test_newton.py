@@ -127,7 +127,8 @@ def test_closure_box_cap():
     assert len(closure(ideal, box_point_cap=9, n=1).gens) == 6
     with pytest.raises(
         InstanceTooLargeError,
-        match=r"^closure box has 9 prefixes over the first 2 coordinates, cap is 8$",
+        match=r"^closure box has 9 prefixes over the first 2 coordinates, cap is 8"
+        r" \(box_point_cap\)$",
     ):
         closure(ideal, box_point_cap=8, n=1)
 
